@@ -24,10 +24,12 @@ Typical flow::
 
 from .calib_solver import (
     CalibrationReport,
+    ExcitationVerdict,
     Extrinsics,
     MeasurementPair,
     MotionState,
     SolverOptions,
+    assess_excitation,
     fused_ego_velocities,
     init_motion_states,
     init_rotation,
@@ -109,6 +111,7 @@ __all__ = [
     "ExcitationReport",
     "ExcitationSample",
     "ExcitationThresholds",
+    "ExcitationVerdict",
     "Extrinsics",
     "GroundTruth",
     "InsufficientDataError",
@@ -128,6 +131,7 @@ __all__ = [
     "SolverOptions",
     "TrajectoryProfile",
     "UnidentifiableError",
+    "assess_excitation",
     "build_lsq",
     "estimate_stream",
     "excitation_report",

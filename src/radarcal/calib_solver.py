@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse
@@ -43,6 +44,9 @@ from .geometry import (
     wrap_axis,
     wrap_to_pi,
 )
+
+if TYPE_CHECKING:
+    from .identifiability import ExcitationReport, ExcitationThresholds
 
 # Additive diagonal floor applied to measurement covariances before they are
 # inverted into weights; keeps noise-free (zero covariance) data usable.
@@ -114,7 +118,7 @@ class SolverOptions:
     max_degenerate_fraction: float = 0.5
     restart_cost_ratio: float = 10.0
     grid_init_max_pairs: int = 60
-    excitation_thresholds: object | None = None  # identifiability.ExcitationThresholds
+    excitation_thresholds: ExcitationThresholds | None = None
 
 
 @dataclass
@@ -127,7 +131,7 @@ class CalibrationReport:
     iterations: int
     converged: bool
     termination: str                       # which stopping criterion fired
-    excitation: object | None              # identifiability.ExcitationReport
+    excitation: ExcitationReport | None
     fused_motion: list[MotionState]
     timestamps: np.ndarray                 # (M,)
     mean_velocity_error: float
@@ -193,6 +197,9 @@ def _pair_data(pairs: list[MeasurementPair], cov_floor: float = COV_FLOOR) -> _P
         raise InvalidArgumentError("measurement pairs have wrong shapes")
     if not (np.all(np.isfinite(ha)) and np.all(np.isfinite(hb)) and np.all(np.isfinite(ts))):
         raise InvalidArgumentError("measurement pairs contain non-finite values")
+    for what, cov in (("radar a", ca), ("radar b", cb)):
+        if not np.all(np.isfinite(cov)):
+            raise InvalidArgumentError(f"{what} covariance contains non-finite values")
     Pa = _inv_psd_2x2(ca, cov_floor, "radar a")
     Pb = _inv_psd_2x2(cb, cov_floor, "radar b")
     return _PairData(ha=ha, hb=hb, Pa=Pa, Pb=Pb, Wa=_whiteners(Pa), Wb=_whiteners(Pb), timestamps=ts)
@@ -308,6 +315,63 @@ def _dominant_motion_axis(ha: np.ndarray) -> float:
     angles = np.arctan2(ha[:, 1], ha[:, 0])
     folded = np.array([wrap_axis(a) for a in angles])
     return circular_median(folded, math.pi)
+
+
+@dataclass
+class ExcitationVerdict:
+    """Closed-form extrinsics guess and the excitation verdict judged there."""
+
+    guess: Extrinsics
+    report: ExcitationReport | None   # None below the 3 pairs the check needs
+    reasons: list[str]                # why calibration is refused; empty if it is not
+
+    def raise_if_refused(self) -> None:
+        """Raise the error by which calibration refuses these data, if any."""
+        if not self.reasons:
+            return
+        message = "; ".join(self.reasons)
+        if self.report is None:
+            raise InsufficientDataError(message)
+        raise UnidentifiableError(
+            f"motion does not excite the extrinsics ({message})", report=self.report
+        )
+
+
+def assess_excitation(
+    pairs: list[MeasurementPair], options: SolverOptions | None = None
+) -> ExcitationVerdict:
+    """Closed-form extrinsics guess, and the verdict by which calibration refuses.
+
+    Data are refused when the axis init finds no rotational signal (the guess
+    then falls back to the dominant motion axis), or when the excitation
+    report at the guess raises a flag or finds more than
+    ``max_degenerate_fraction`` of the timesteps degenerate.
+    """
+    from .identifiability import excitation_report  # deferred: identifiability uses this module
+
+    opts = options or SolverOptions()
+    data = _pair_data(pairs, opts.cov_floor)
+    theta_ba = init_rotation(pairs, k=opts.init_k, min_speed=opts.min_speed)
+    reasons = []
+    try:
+        theta_t = init_translation_axis(pairs, theta_ba, min_lever=opts.min_lever)
+    except InsufficientExcitationError:
+        theta_t = _dominant_motion_axis(data.ha)
+        reasons.append("no rotational signal")
+    guess = Extrinsics(theta_t=theta_t, theta_ba=theta_ba)
+    if data.n < 3:
+        reasons = [f"excitation check needs at least 3 pairs, got {data.n}"]
+        return ExcitationVerdict(guess=guess, report=None, reasons=reasons)
+
+    report = excitation_report(pairs, guess, opts.excitation_thresholds)
+    if report.fraction_degenerate > opts.max_degenerate_fraction:
+        reasons.append(
+            f"degenerate fraction {report.fraction_degenerate:.3f} "
+            f"above {opts.max_degenerate_fraction:g}"
+        )
+    if report.flags:
+        reasons.append("flags: " + ", ".join(report.flags))
+    return ExcitationVerdict(guess=guess, report=report, reasons=reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +537,8 @@ def _marginal_extrinsic_covariance(Hmm, Hme, Hee):
 def _canonical_gauge(theta_t: float, theta_ba: float, w: np.ndarray):
     """Fold the axis into [0, pi); an odd fold flips the lever direction,
     so the unscaled rates change sign to keep the model value fixed."""
-    k = math.floor(theta_t / math.pi)
-    tt = theta_t - k * math.pi
-    if tt >= math.pi:
-        tt -= math.pi
-        k += 1
-    if tt < 0.0:
-        tt = 0.0
-    if k % 2 != 0:
+    tt = wrap_axis(theta_t)
+    if round((theta_t - tt) / math.pi) % 2 != 0:
         w = -w
     return tt, wrap_to_pi(theta_ba), w
 
@@ -641,49 +699,30 @@ def _run_lm(data: _PairData, theta_t0: float, theta_ba0: float, opts: SolverOpti
     )
 
 
-def _grid_profile_costs(data: _PairData, tts: np.ndarray, tbs: np.ndarray) -> np.ndarray:
-    """Profile cost at each (theta_t, theta_ba) gridpoint.
+def _profile_costs(data: _PairData, t_grid: np.ndarray, ba_grid: np.ndarray) -> np.ndarray:
+    """Profile cost at every (theta_t, theta_ba) cell, shape (len(t_grid), len(ba_grid)).
 
-    For every gridpoint the motion states are fitted in closed form (same
-    math as :func:`_motion_from_data`, vectorized over gridpoints) and the
-    whitened cost evaluated.  Input arrays are flat and equally long.
+    The value is the cost left after :func:`_motion_from_data`'s fit, with
+    the motion states eliminated in closed form instead of solved for
+    (variable projection).  Eliminating ``v_a`` leaves the mismatch
+    ``d = h_a - R^T h_b`` with covariance ``C = C_a + R^T C_b R``;
+    eliminating ``omega_gamma`` along ``u = lever_unit(theta_t)`` then
+    leaves ``d^T H d - (u^T H d)^2 / (u^T H u)`` per timestep, ``H = C^-1``.
+    ``H`` and ``d`` depend on ``theta_ba`` alone, so the sweep loops over
+    ``theta_ba`` and vectorizes over ``theta_t`` and the timesteps.
     """
-    G = tts.size
-    M = data.n
-    costs = np.empty(G)
-    chunk = max(1, 200_000 // max(M, 1))
-    for lo in range(0, G, chunk):
-        tt = tts[lo:lo + chunk]
-        tb = tbs[lo:lo + chunk]
-        g = tt.size
-        cb, sb = np.cos(tb), np.sin(tb)
-        R = np.empty((g, 2, 2))
-        R[:, 0, 0] = cb
-        R[:, 0, 1] = -sb
-        R[:, 1, 0] = sb
-        R[:, 1, 1] = cb
-        u = np.stack([-np.sin(tt), np.cos(tt)], axis=1)
-        Q = np.einsum("gji,mjk,gkl->gmil", R, data.Pb, R, optimize=True)
-        Qu = np.einsum("gmij,gj->gmi", Q, u)
-        rhs_v = np.einsum("mij,mj->mi", data.Pa, data.ha)[None] + np.einsum(
-            "gji,mjk,mk->gmi", R, data.Pb, data.hb, optimize=True
-        )
-        rhs_w = np.einsum("gi,gji,mjk,mk->gm", u, R, data.Pb, data.hb, optimize=True)
-        N = np.empty((g, M, 3, 3))
-        N[:, :, :2, :2] = data.Pa[None] + Q
-        N[:, :, :2, 2] = Qu
-        N[:, :, 2, :2] = Qu
-        N[:, :, 2, 2] = np.einsum("gi,gmij,gj->gm", u, Q, u, optimize=True)
-        rhs = np.concatenate([rhs_v, rhs_w[..., None]], axis=2)
-        z = np.linalg.solve(N.reshape(-1, 3, 3), rhs.reshape(-1, 3, 1)).reshape(g, M, 3)
-        v, w = z[:, :, :2], z[:, :, 2]
-        ea = data.ha[None] - v
-        eb = data.hb[None] - np.einsum("gij,gmj->gmi", R, v + w[..., None] * u[:, None, :])
-        ra = np.einsum("mij,gmj->gmi", data.Wa, ea)
-        rb = np.einsum("mij,gmj->gmi", data.Wb, eb)
-        costs[lo:lo + chunk] = np.einsum("gmi,gmi->g", ra, ra) + np.einsum(
-            "gmi,gmi->g", rb, rb
-        )
+    Ca = np.linalg.inv(data.Pa)
+    Cb = np.linalg.inv(data.Pb)
+    U = np.stack([-np.sin(t_grid), np.cos(t_grid)], axis=1)
+    costs = np.empty((t_grid.size, ba_grid.size))
+    for j, theta_ba in enumerate(ba_grid):
+        R = rot2(float(theta_ba))
+        H = np.linalg.inv(Ca + R.T @ Cb @ R)
+        d = data.ha - data.hb @ R                     # rows h_a - R^T h_b
+        Hd = np.einsum("mij,mj->mi", H, d)
+        uHd = U @ Hd.T                                # (G_t, M)
+        uHu = np.einsum("ti,mij,tj->tm", U, H, U)
+        costs[:, j] = np.sum(d * Hd) - np.sum(uHd * uHd / uHu, axis=1)
     return costs
 
 
@@ -694,10 +733,9 @@ def _coarse_grid_init(data: _PairData, step_deg: float) -> tuple[float, float]:
     and dataset size, so it serves as the fallback start."""
     t_grid = np.arange(0.0, math.pi, math.radians(step_deg))
     ba_grid = np.arange(-math.pi, math.pi, math.radians(step_deg))
-    TT, TB = np.meshgrid(t_grid, ba_grid, indexing="ij")
-    costs = _grid_profile_costs(data, TT.ravel(), TB.ravel())
-    j = int(np.argmin(costs))
-    return float(TT.ravel()[j]), float(TB.ravel()[j])
+    costs = _profile_costs(data, t_grid, ba_grid)
+    i, j = np.unravel_index(np.argmin(costs), costs.shape)
+    return float(t_grid[i]), float(ba_grid[j])
 
 
 def solve_lm(pairs: list[MeasurementPair], options: SolverOptions | None = None) -> CalibrationReport:
@@ -715,40 +753,11 @@ def solve_lm(pairs: list[MeasurementPair], options: SolverOptions | None = None)
     if M < 2:
         raise InsufficientDataError(f"need at least 2 pairs, got {M}")
 
-    theta_ba0 = init_rotation(pairs, k=opts.init_k, min_speed=opts.min_speed)
-    axis_fallback = False
-    try:
-        theta_t0 = init_translation_axis(pairs, theta_ba0, min_lever=opts.min_lever)
-    except InsufficientExcitationError:
-        theta_t0 = _dominant_motion_axis(data.ha)
-        axis_fallback = True
-
-    from .identifiability import excitation_report  # deferred: identifiability uses this module
-
-    excitation = None
-    if M >= 3:
-        excitation = excitation_report(
-            pairs, Extrinsics(theta_t=theta_t0, theta_ba=theta_ba0), opts.excitation_thresholds
-        )
+    verdict = assess_excitation(pairs, opts)
     if opts.enforce_excitation:
-        if excitation is None:
-            raise InsufficientDataError("excitation check needs at least 3 pairs")
-        if (
-            axis_fallback
-            or excitation.flags
-            or excitation.fraction_degenerate > opts.max_degenerate_fraction
-        ):
-            detail = [f"degenerate fraction {excitation.fraction_degenerate:.3f}"]
-            if excitation.flags:
-                detail.append("flags: " + ", ".join(excitation.flags))
-            if axis_fallback:
-                detail.append("no rotational signal")
-            raise UnidentifiableError(
-                "motion does not excite the extrinsics (" + "; ".join(detail) + ")",
-                report=excitation,
-            )
+        verdict.raise_if_refused()
 
-    run = _run_lm(data, theta_t0, theta_ba0, opts)
+    run = _run_lm(data, verdict.guess.theta_t, verdict.guess.theta_ba, opts)
 
     # The closed-form guesses can start the descent in the wrong basin: the
     # rotation guess assumes the lever barely perturbs the speeds (false for
@@ -788,7 +797,7 @@ def solve_lm(pairs: list[MeasurementPair], options: SolverOptions | None = None)
         iterations=iterations,
         converged=converged,
         termination=termination,
-        excitation=excitation,
+        excitation=verdict.report,
         fused_motion=fused,
         timestamps=data.timestamps.copy(),
         mean_velocity_error=velocity_error_metric(pairs, ext),

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline_io
-from .calib_solver import solve_lm, velocity_error_metric, fused_ego_velocities
+from .calib_solver import assess_excitation, fused_ego_velocities, solve_lm, velocity_error_metric
 from .errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -52,7 +52,6 @@ from .errors import (
     UnidentifiableError,
 )
 from .geometry import wrap_axis, wrap_to_pi
-from .identifiability import excitation_report
 from .scale_recovery import (
     load_angular_rate_csv,
     load_heading_csv,
@@ -292,37 +291,21 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_excitation_check(args) -> int:
-    from .calib_solver import (
-        Extrinsics,
-        _dominant_motion_axis,
-        _pair_data,
-        init_rotation,
-        init_translation_axis,
-    )
-
     cfg = _load_config(args)
     out = _outdir(args)
     pairs = _pairs_from_input(args.input, cfg)
     _write_resolved_config(cfg, out)
-    theta_ba = init_rotation(pairs, min_speed=cfg.solver.min_speed)
-    fallback = False
-    try:
-        theta_t = init_translation_axis(pairs, theta_ba, min_lever=cfg.solver.min_lever)
-    except InsufficientExcitationError:
-        theta_t = _dominant_motion_axis(_pair_data(pairs).ha)
-        fallback = True
-    rep = excitation_report(pairs, Extrinsics(theta_t=theta_t, theta_ba=theta_ba), cfg.excitation)
-    pipeline_io.write_excitation(rep, out / "excitation.json")
-    print(
-        f"degenerate fraction {rep.fraction_degenerate:.3f} "
-        f"(threshold {cfg.solver.max_degenerate_fraction:g}), "
-        f"min |det| {rep.min_abs_det:.3g}, flags: {', '.join(rep.flags) or 'none'}"
-    )
-    print(f"wrote {out / 'excitation.json'}")
-    bad = fallback or rep.flags or rep.fraction_degenerate > cfg.solver.max_degenerate_fraction
-    if bad:
-        print("motion does not identify the extrinsics", file=sys.stderr)
-        return EXIT_UNIDENTIFIABLE
+    verdict = assess_excitation(pairs, cfg.solver)
+    rep = verdict.report
+    if rep is not None:
+        pipeline_io.write_excitation(rep, out / "excitation.json")
+        print(
+            f"degenerate fraction {rep.fraction_degenerate:.3f} "
+            f"(threshold {cfg.solver.max_degenerate_fraction:g}), "
+            f"min |det| {rep.min_abs_det:.3g}, flags: {', '.join(rep.flags) or 'none'}"
+        )
+        print(f"wrote {out / 'excitation.json'}")
+    verdict.raise_if_refused()
     return EXIT_OK
 
 

@@ -56,10 +56,9 @@ def wrap_axis(theta: Angle) -> Angle:
     if not math.isfinite(theta):
         raise InvalidArgumentError(f"axis angle must be finite, got {theta!r}")
     k = math.floor(theta / math.pi)
-    if k == 0:
-        return theta
     out = theta - k * math.pi
-    # Rounding can land exactly on pi when theta is a hair below a multiple.
+    # Rounding of theta / pi can leave out a hair outside [0, pi); so does a
+    # tiny negative theta, whose quotient underflows to -0.0.
     if out >= math.pi:
         out -= math.pi
     if out < 0.0:

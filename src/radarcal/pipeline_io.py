@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calib_solver import (
+    DEFAULT_MIN_SPEED,
     CalibrationReport,
     Extrinsics,
     MeasurementPair,
@@ -50,6 +51,7 @@ from .ego_velocity import (
     ransac_ego_velocity,
 )
 from .errors import (
+    DegenerateGeometryError,
     InsufficientDataError,
     InvalidArgumentError,
     NoConsensusError,
@@ -66,7 +68,6 @@ EXCITATION_FORMAT = "radarcal-excitation-1"
 SCALE_FORMAT = "radarcal-scale-1"
 EVALUATION_FORMAT = "radarcal-evaluation-1"
 
-DEFAULT_MIN_SPEED = 0.05
 DEFAULT_MAX_GAP = 0.2
 
 
@@ -197,6 +198,8 @@ def save_pairs(pairs, path):
 
 
 def load_pairs(path) -> list[MeasurementPair]:
+    """Read a pairs file; records may come in any order and are returned
+    sorted by timestamp."""
     pairs = []
     seen = set()
     with open(path) as fh:
@@ -222,6 +225,7 @@ def load_pairs(path) -> list[MeasurementPair]:
                     timestamp=ts,
                 )
             )
+    pairs.sort(key=lambda p: p.timestamp)
     return pairs
 
 
@@ -299,12 +303,13 @@ def load_truth(path):
 
 
 def estimate_stream(scans: list[RadarScan], config: RansacConfig) -> list[EgoVelocityEstimate]:
-    """Robust per-scan ego-velocities; scans without consensus are skipped."""
+    """Robust per-scan ego-velocities; scans without consensus, with too few
+    detections, or whose inliers span too little azimuth are skipped."""
     out = []
     for scan in scans:
         try:
             out.append(ransac_ego_velocity(scan, config))
-        except (NoConsensusError, InsufficientDataError):
+        except (NoConsensusError, InsufficientDataError, DegenerateGeometryError):
             continue
     out.sort(key=lambda e: e.timestamp)
     return out

@@ -9,6 +9,8 @@ from radarcal.calib_solver import (
     Extrinsics,
     MeasurementPair,
     SolverOptions,
+    _pair_data,
+    _profile_costs,
     fused_ego_velocities,
     init_motion_states,
     init_rotation,
@@ -139,6 +141,33 @@ def test_init_motion_states_match_dense_least_squares():
         z, *_ = np.linalg.lstsq(G, y, rcond=None)
         np.testing.assert_allclose(st.v_a, z[:2], atol=1e-8)
         assert abs(st.omega_gamma - z[2]) < 1e-8
+
+
+def test_profile_costs_match_point_api():
+    # the grid's closed-form profile cost against motion states fitted and
+    # residuals evaluated through the public per-point API
+    rng = np.random.default_rng(23)
+    m = 30
+    ha = rng.uniform(-2, 2, size=(m, 2))
+    hb = rng.uniform(-2, 2, size=(m, 2))
+    cov_a = [random_spd(rng) for _ in range(m)]
+    cov_b = [random_spd(rng, scale=0.1) for _ in range(m)]
+    pairs = pairs_from_arrays(ha, hb, cov_a, cov_b)
+    t_grid = rng.uniform(0.0, math.pi, 5)
+    ba_grid = rng.uniform(-math.pi, math.pi, 5)
+    costs = _profile_costs(_pair_data(pairs), t_grid, ba_grid)
+    assert costs.shape == (5, 5)
+    for i, tt in enumerate(t_grid):
+        for j, tb in enumerate(ba_grid):
+            ext = Extrinsics(theta_t=float(tt), theta_ba=float(tb))
+            states = init_motion_states(pairs, ext)
+            st = CalibState(
+                v_a=np.array([s.v_a for s in states]),
+                omega_gamma=np.array([s.omega_gamma for s in states]),
+                extrinsics=ext,
+            )
+            r = residuals(st, pairs)
+            assert abs(costs[i, j] - r @ r) <= 1e-12 * (r @ r)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +357,16 @@ def test_solve_requires_two_pairs_and_excitation_check_three():
     # with enforcement off, two pairs solve fine
     report = solve_lm(pairs[:2], SolverOptions(enforce_excitation=False))
     assert np.isfinite(report.final_cost)
+
+
+@pytest.mark.parametrize("radar", ["a", "b"])
+def test_solve_rejects_non_finite_covariance(radar):
+    truth, pairs = periodic_pairs(sigma=0.1)
+    cov = getattr(pairs[5], f"cov_{radar}").copy()
+    cov[0, 1] = math.nan
+    setattr(pairs[5], f"cov_{radar}", cov)
+    with pytest.raises(InvalidArgumentError, match=f"radar {radar} covariance"):
+        solve_lm(pairs)
 
 
 def test_solve_refuses_constant_turn_rate_data():

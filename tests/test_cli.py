@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from radarcal import cli
+from radarcal.ego_velocity import Detection
 from radarcal.pipeline_io import (
     load_pairs,
     load_scans,
@@ -11,6 +12,7 @@ from radarcal.pipeline_io import (
     read_json,
     read_report,
     save_pairs,
+    save_scans,
 )
 
 
@@ -156,6 +158,45 @@ def test_calibrate_scans_input(tmp_path):
     assert len(load_pairs(cal / "used_pairs.txt")) > 50
 
 
+def test_calibrate_reversed_pairs_file(tmp_path, capsys):
+    simulate(tmp_path / "sim")
+    pairs = load_pairs(trial_dir(tmp_path / "sim") / "pairs.txt")
+    forward, backward = tmp_path / "forward.txt", tmp_path / "backward.txt"
+    save_pairs(pairs, forward)
+    save_pairs(pairs[::-1], backward)
+    assert run("calibrate", "--input", forward, "--out", tmp_path / "c1") == cli.EXIT_OK
+    assert run("calibrate", "--input", backward, "--out", tmp_path / "c2") == cli.EXIT_OK
+    assert (tmp_path / "c1" / "report.json").read_bytes() == (
+        tmp_path / "c2" / "report.json"
+    ).read_bytes()
+    capsys.readouterr()
+
+
+def test_calibrate_skips_collinear_scan(tmp_path, capsys):
+    out = tmp_path / "sim"
+    code = run(
+        "simulate", "--out", out, "--trials", 1, "--sigma", 0.1, "--duration", 10,
+        "--landmarks", 50, "--seed", 5,
+    )
+    assert code == cli.EXIT_OK
+    streams = load_scans(trial_dir(out, dur="10") / "scans.txt")
+    # radar a's 11th scan sees its targets within 1e-6 rad of one azimuth:
+    # RANSAC finds a consensus whose refit is singular
+    scan = streams["a"][10]
+    az = 0.3 + 1e-7 * np.arange(8)
+    scan.detections = [
+        Detection(range_m=10.0, azimuth_rad=float(a), range_rate_mps=-math.cos(a))
+        for a in az
+    ]
+    scans_file = tmp_path / "scans.txt"
+    save_scans(streams, scans_file)
+    cal = tmp_path / "cal"
+    assert run("calibrate", "--input", scans_file, "--out", cal) == cli.EXIT_OK
+    used = {p.timestamp for p in load_pairs(cal / "used_pairs.txt")}
+    assert scan.timestamp not in used
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("profile", ["constant_omega", "straight_line"])
 def test_calibrate_refuses_degenerate_profiles(tmp_path, profile, capsys):
     sim = tmp_path / "sim"
@@ -191,27 +232,27 @@ def test_calibrate_not_converged_exit(tmp_path, capsys):
 # excitation-check
 
 
-def test_excitation_check_verdicts(tmp_path, capsys):
-    good = tmp_path / "good"
-    simulate(good)
+@pytest.mark.parametrize("profile", ["periodic_default", "constant_omega", "straight_line"])
+def test_excitation_check_verdicts(tmp_path, profile, capsys):
+    sim = tmp_path / "sim"
+    sigma = "0.1" if profile == "periodic_default" else "0"
     code = run(
-        "excitation-check", "--input", trial_dir(good) / "pairs.txt",
-        "--out", tmp_path / "chk1",
+        "simulate", "--out", sim, "--trials", 1, "--sigma", sigma, "--duration", 15,
+        "--seed", 3, "--profile", profile, "--no-scans",
     )
     assert code == cli.EXIT_OK
-    rep = read_json(tmp_path / "chk1" / "excitation.json")
-    assert rep["fraction_degenerate"] < 0.1
-
-    bad = tmp_path / "bad"
-    run("simulate", "--out", bad, "--trials", 1, "--sigma", 0, "--duration", 15,
-        "--profile", "constant_omega", "--no-scans")
-    code = run(
-        "excitation-check", "--input", trial_dir(bad, sigma="0") / "pairs.txt",
-        "--out", tmp_path / "chk2",
-    )
-    assert code == cli.EXIT_UNIDENTIFIABLE
-    rep = read_json(tmp_path / "chk2" / "excitation.json")
-    assert rep["fraction_degenerate"] == 1.0
+    pairs = trial_dir(sim, sigma=sigma) / "pairs.txt"
+    code = run("excitation-check", "--input", pairs, "--out", tmp_path / "chk")
+    rep = read_json(tmp_path / "chk" / "excitation.json")
+    if profile == "periodic_default":
+        assert code == cli.EXIT_OK
+        assert rep["fraction_degenerate"] < 0.1
+    else:
+        assert code == cli.EXIT_UNIDENTIFIABLE
+        assert rep["fraction_degenerate"] == 1.0
+    # calibrate refuses by the same verdict
+    calibrated = run("calibrate", "--input", pairs, "--out", tmp_path / "cal")
+    assert (calibrated == cli.EXIT_UNIDENTIFIABLE) == (code == cli.EXIT_UNIDENTIFIABLE)
     capsys.readouterr()
 
 

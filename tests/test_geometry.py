@@ -67,6 +67,13 @@ def test_wrap_axis_range_and_idempotence(theta):
     assert k == pytest.approx(round(k), abs=1e-9)
 
 
+def test_wrap_axis_tiny_negative_maps_to_zero():
+    # theta / pi underflows to -0.0, so the fold by floor() moves nothing
+    for theta in (-5e-324, -math.ulp(0.0)):
+        assert wrap_axis(theta) == 0.0
+        assert math.copysign(1.0, wrap_axis(theta)) == 1.0
+
+
 @given(finite_angles)
 def test_wrap_to_pi_range(theta):
     w = wrap_to_pi(theta)

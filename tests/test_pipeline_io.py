@@ -147,6 +147,17 @@ def test_pairs_round_trip_is_bitwise(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_pairs_load_sorted_by_timestamp(tmp_path):
+    pairs = nasty_pairs()
+    forward, backward = tmp_path / "forward.txt", tmp_path / "backward.txt"
+    save_pairs(pairs, forward)
+    save_pairs(pairs[::-1], backward)
+    # the loaded pairs equal the sorted ones bit for bit
+    again = tmp_path / "again.txt"
+    save_pairs(load_pairs(backward), again)
+    assert again.read_bytes() == forward.read_bytes()
+
+
 def test_pairs_reject_duplicate_timestamps_and_short_rows(tmp_path):
     pairs = nasty_pairs()[:2]
     pairs[1].timestamp = pairs[0].timestamp
@@ -199,7 +210,10 @@ def test_estimate_stream_skips_hopeless_scans():
         rr = -(np.sin(az) * v[0] + np.cos(az) * v[1])
         good.append(make_scan(ts, "a", az, rr))
     starved = make_scan(0.3, "a", [0.1, 0.2], [0.0, 0.0])
-    ests = estimate_stream(good + [starved], RansacConfig(rng_seed=1))
+    # consensus exists, but its azimuths span 1e-6 rad: the refit is singular
+    narrow = 0.3 + 1e-7 * np.arange(8)
+    collinear = make_scan(0.1, "a", narrow, -(np.sin(narrow) * v[0] + np.cos(narrow) * v[1]))
+    ests = estimate_stream(good + [starved, collinear], RansacConfig(rng_seed=1))
     assert [e.timestamp for e in ests] == [0.0, 0.2, 0.4]
     for e in ests:
         np.testing.assert_allclose(e.velocity, v, atol=1e-9)
