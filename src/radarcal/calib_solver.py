@@ -185,7 +185,10 @@ def _whiteners(P: np.ndarray) -> np.ndarray:
     return W
 
 
-def _pair_data(pairs: list[MeasurementPair], cov_floor: float = COV_FLOOR) -> _PairData:
+def _pair_data(pairs: list[MeasurementPair] | _PairData, cov_floor: float = COV_FLOOR) -> _PairData:
+    """The one validation and conversion of pairs; a ``_PairData`` passes through as is."""
+    if isinstance(pairs, _PairData):
+        return pairs
     if not pairs:
         raise InsufficientDataError("no measurement pairs supplied")
     ha = np.array([np.asarray(p.h_a, dtype=float) for p in pairs])
@@ -222,10 +225,8 @@ def init_rotation(
     circular median of those angles is robust to the odd corrupted pair.
     ``k`` defaults to ``min(50, usable // 4)``, at least 1.
     """
-    ha = np.array([np.asarray(p.h_a, dtype=float) for p in pairs]) if pairs else np.empty((0, 2))
-    hb = np.array([np.asarray(p.h_b, dtype=float) for p in pairs]) if pairs else np.empty((0, 2))
-    if ha.size == 0:
-        raise InsufficientDataError("no pairs for rotation init")
+    data = _pair_data(pairs)
+    ha, hb = data.ha, data.hb
     sa = np.hypot(ha[:, 0], ha[:, 1])
     sb = np.hypot(hb[:, 0], hb[:, 1])
     usable = np.flatnonzero((sa >= min_speed) & (sb >= min_speed))
@@ -254,12 +255,8 @@ def init_translation_axis(
     axis; its angle modulo pi estimates ``theta_t``.  Samples with
     ``|b_j| < min_lever`` carry no direction information and are skipped.
     """
-    if not pairs:
-        raise InsufficientDataError("no pairs for axis init")
-    R = rot2(theta_ba)
-    ha = np.array([np.asarray(p.h_a, dtype=float) for p in pairs])
-    hb = np.array([np.asarray(p.h_b, dtype=float) for p in pairs])
-    b = hb @ R - ha  # rows b_j = R^T h_b - h_a
+    data = _pair_data(pairs)
+    b = data.hb @ rot2(theta_ba) - data.ha  # rows b_j = R^T h_b - h_a
     norms = np.hypot(b[:, 0], b[:, 1])
     usable = norms >= min_lever
     if not np.any(usable):
@@ -351,10 +348,10 @@ def assess_excitation(
 
     opts = options or SolverOptions()
     data = _pair_data(pairs, opts.cov_floor)
-    theta_ba = init_rotation(pairs, k=opts.init_k, min_speed=opts.min_speed)
+    theta_ba = init_rotation(data, k=opts.init_k, min_speed=opts.min_speed)
     reasons = []
     try:
-        theta_t = init_translation_axis(pairs, theta_ba, min_lever=opts.min_lever)
+        theta_t = init_translation_axis(data, theta_ba, min_lever=opts.min_lever)
     except InsufficientExcitationError:
         theta_t = _dominant_motion_axis(data.ha)
         reasons.append("no rotational signal")
@@ -363,7 +360,7 @@ def assess_excitation(
         reasons = [f"excitation check needs at least 3 pairs, got {data.n}"]
         return ExcitationVerdict(guess=guess, report=None, reasons=reasons)
 
-    report = excitation_report(pairs, guess, opts.excitation_thresholds)
+    report = excitation_report(data, guess, opts.excitation_thresholds)
     if report.fraction_degenerate > opts.max_degenerate_fraction:
         reasons.append(
             f"degenerate fraction {report.fraction_degenerate:.3f} "
@@ -753,7 +750,7 @@ def solve_lm(pairs: list[MeasurementPair], options: SolverOptions | None = None)
     if M < 2:
         raise InsufficientDataError(f"need at least 2 pairs, got {M}")
 
-    verdict = assess_excitation(pairs, opts)
+    verdict = assess_excitation(data, opts)
     if opts.enforce_excitation:
         verdict.raise_if_refused()
 
@@ -800,10 +797,10 @@ def solve_lm(pairs: list[MeasurementPair], options: SolverOptions | None = None)
         excitation=verdict.report,
         fused_motion=fused,
         timestamps=data.timestamps.copy(),
-        mean_velocity_error=velocity_error_metric(pairs, ext),
+        mean_velocity_error=velocity_error_metric(data, ext),
         velocity_error_table={},
     )
-    errors = fused_ego_velocities(report, pairs, mode="reconstruction")
+    errors = fused_ego_velocities(report, data, mode="reconstruction")
     qs = (0.25, 0.5, 0.75, 0.9)
     report.velocity_error_table = {
         radar: {

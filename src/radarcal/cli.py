@@ -41,7 +41,9 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline_io
-from .calib_solver import assess_excitation, fused_ego_velocities, solve_lm, velocity_error_metric
+from .calib_solver import (
+    _pair_data, assess_excitation, fused_ego_velocities, solve_lm, velocity_error_metric
+)
 from .errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -321,16 +323,17 @@ def cmd_evaluate(args) -> int:
     _write_resolved_config(
         cfg, out, extra_comments=[f"evaluate report={args.report} truth={args.truth or 'none'}"]
     )
+    data = _pair_data(pairs)
     payload = {
         "format": pipeline_io.EVALUATION_FORMAT,
         "n_pairs": len(pairs),
-        "mean_velocity_error": velocity_error_metric(pairs, report.extrinsics),
+        "mean_velocity_error": velocity_error_metric(data, report.extrinsics),
         "median_errors": None,
         "extrinsic_error_deg": None,
     }
     truth = pipeline_io.load_truth(args.truth) if args.truth else None
     if len(pairs) == len(report.fused_motion):
-        errors = fused_ego_velocities(report, pairs, ground_truth=truth)
+        errors = fused_ego_velocities(report, data, ground_truth=truth)
         payload["median_errors"] = {
             radar: {kind: float(np.median(series)) for kind, series in both.items()}
             for radar, both in errors.items()
@@ -408,6 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Extrinsic calibration of a 2D radar pair from ego-velocities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Input handling shared by every command that reads a pairs or scans file.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="pipeline config file")
+    common.add_argument("--seed", type=int, help="override the robust-estimation seed")
+    common.add_argument("--min-speed", type=float, help="override the pair speed filter")
+    common.add_argument("--sync-max-gap", type=float, help="override the sync bracket limit")
 
     p = sub.add_parser("simulate", help="generate simulated datasets")
     p.add_argument("--out", required=True, help="output directory")
@@ -440,35 +449,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for trial-level parallelism")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("calibrate", help="estimate the extrinsics")
+    p = sub.add_parser("calibrate", parents=[common], help="estimate the extrinsics")
     p.add_argument("--input", required=True, help="pairs or scans file")
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="pipeline config file")
-    p.add_argument("--seed", type=int, help="override the robust-estimation seed")
-    p.add_argument("--min-speed", type=float, help="override the pair speed filter")
-    p.add_argument("--sync-max-gap", type=float, help="override the sync bracket limit")
     p.add_argument("--no-enforce-excitation", action="store_true",
                    help="solve even when the motion looks degenerate")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("excitation-check", help="judge identifiability without solving")
+    p = sub.add_parser(
+        "excitation-check", parents=[common], help="judge identifiability without solving"
+    )
     p.add_argument("--input", required=True, help="pairs or scans file")
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="pipeline config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-speed", type=float)
-    p.add_argument("--sync-max-gap", type=float)
     p.set_defaults(func=cmd_excitation_check)
 
-    p = sub.add_parser("evaluate", help="score a report against data")
+    p = sub.add_parser("evaluate", parents=[common], help="score a report against data")
     p.add_argument("--input", required=True, help="pairs or scans file")
     p.add_argument("--report", required=True, help="report.json from calibrate")
     p.add_argument("--truth", help="ground-truth file for simulation scoring")
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="pipeline config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-speed", type=float)
-    p.add_argument("--sync-max-gap", type=float)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("recover-scale", help="metric scale from an external rate source")

@@ -116,7 +116,8 @@ def circular_median(angles: np.ndarray, modulus: float = math.tau) -> Angle:
 
     Returns the sample value minimizing the summed absolute circular
     deviation to all other samples; ties break toward the smaller canonical
-    value.  Robust against wraparound, unlike a plain median.
+    value.  Robust against wraparound, unlike a plain median.  Scores are
+    summed one sample at a time: O(M) memory, O(M^2) time.
     """
     arr = np.asarray(angles, dtype=float)
     if arr.size == 0:
@@ -124,8 +125,9 @@ def circular_median(angles: np.ndarray, modulus: float = math.tau) -> Angle:
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("circular_median requires finite angles")
     canon = np.mod(arr, modulus)
-    diffs = np.abs(canon[:, None] - canon[None, :])
-    diffs = np.minimum(diffs, modulus - diffs)
-    score = diffs.sum(axis=1)
+    score = np.empty_like(canon)
+    for i, c in enumerate(canon):
+        d = np.abs(c - canon)
+        score[i] = np.minimum(d, modulus - d).sum()
     best = np.flatnonzero(score == score.min())
     return float(np.min(canon[best]))

@@ -99,8 +99,9 @@ def excitation_report(
     """Classify every timestep of a dataset and aggregate the verdicts.
 
     Motion states come from the closed-form per-timestep fit at the guessed
-    extrinsics; the angular acceleration is their central finite difference
-    (one-sided at the ends).  Needs at least three pairs.
+    extrinsics, weighted with the covariance floor ``pairs`` was unpacked with
+    (``COV_FLOOR`` for a list); the angular acceleration is their central
+    finite difference (one-sided at the ends).  Needs at least three pairs.
     """
     thr = thresholds or ExcitationThresholds()
     data = _pair_data(pairs)

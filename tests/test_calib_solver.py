@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import radarcal.calib_solver as calib_solver
+import radarcal.identifiability as identifiability
 from radarcal.calib_solver import (
     COV_FLOOR,
     CalibState,
@@ -11,6 +13,7 @@ from radarcal.calib_solver import (
     SolverOptions,
     _pair_data,
     _profile_costs,
+    assess_excitation,
     fused_ego_velocities,
     init_motion_states,
     init_rotation,
@@ -28,6 +31,7 @@ from radarcal.errors import (
     UnidentifiableError,
 )
 from radarcal.geometry import lever_unit, rot2, wrap_to_pi
+from radarcal.identifiability import excitation_report
 from radarcal.simulator import NoiseSpec, TrajectoryProfile, generate_trajectory, simulate_pairs
 
 
@@ -115,6 +119,19 @@ def test_init_translation_axis_needs_rotational_signal():
     pairs = model_pairs(v, np.zeros(10), theta_t=0.3, theta_ba=0.7)
     with pytest.raises(InsufficientExcitationError):
         init_translation_axis(pairs, theta_ba=0.7)
+
+
+@pytest.mark.parametrize("init", ["rotation", "axis"])
+def test_init_rejects_non_finite_pairs(init):
+    # A NaN pair fails every speed and lever comparison, so without the
+    # validation it would be dropped silently.
+    _, pairs = periodic_pairs(sigma=0.05)
+    pairs[7].h_b = np.array([math.nan, 1.0])
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        if init == "rotation":
+            init_rotation(pairs)
+        else:
+            init_translation_axis(pairs, theta_ba=0.3)
 
 
 def test_init_motion_states_match_dense_least_squares():
@@ -367,6 +384,34 @@ def test_solve_rejects_non_finite_covariance(radar):
     setattr(pairs[5], f"cov_{radar}", cov)
     with pytest.raises(InvalidArgumentError, match=f"radar {radar} covariance"):
         solve_lm(pairs)
+
+
+def test_solve_converts_pairs_once(monkeypatch):
+    list_calls = []
+    real = calib_solver._pair_data
+
+    def counting(pairs, *args, **kwargs):
+        if isinstance(pairs, list):
+            list_calls.append(len(pairs))
+        return real(pairs, *args, **kwargs)
+
+    monkeypatch.setattr(calib_solver, "_pair_data", counting)
+    monkeypatch.setattr(identifiability, "_pair_data", counting)
+    _, pairs = periodic_pairs(sigma=0.05)
+    solve_lm(pairs)
+    assert list_calls == [len(pairs)]
+
+
+def test_excitation_check_uses_solver_cov_floor():
+    rng = np.random.default_rng(5)
+    _, pairs = periodic_pairs(sigma=0.1, seed=4)
+    for p in pairs:
+        p.cov_a = random_spd(rng, scale=rng.uniform(0.02, 0.5))
+        p.cov_b = random_spd(rng, scale=rng.uniform(0.02, 0.5))
+    verdict = assess_excitation(pairs, SolverOptions(cov_floor=1.0))
+    floored = excitation_report(_pair_data(pairs, 1.0), verdict.guess)
+    assert verdict.report == floored
+    assert excitation_report(pairs, verdict.guess) != floored
 
 
 def test_solve_refuses_constant_turn_rate_data():

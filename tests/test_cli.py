@@ -45,6 +45,19 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["calibrate", "excitation-check", "evaluate"])
+def test_input_flags_shared_by_data_commands(command):
+    parser = cli.build_parser()
+    required = ["--input", "i", "--out", "o"] + (["--report", "r"] if command == "evaluate" else [])
+    args = parser.parse_args([command, *required])
+    assert (args.config, args.seed, args.min_speed, args.sync_max_gap) == (None, None, None, None)
+    args = parser.parse_args(
+        [command, *required, "--config", "c", "--seed", "4", "--min-speed", "0.2",
+         "--sync-max-gap", "0.03"]
+    )
+    assert (args.config, args.seed, args.min_speed, args.sync_max_gap) == ("c", 4, 0.2, 0.03)
+
+
 def test_missing_and_malformed_inputs_exit_3(tmp_path, capsys):
     out = tmp_path / "out"
     assert run("calibrate", "--input", tmp_path / "nope.txt", "--out", out) == cli.EXIT_IO

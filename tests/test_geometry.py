@@ -155,6 +155,36 @@ def test_circular_median_minimizes_summed_deviation(angles):
     assert np.minimum(dists, math.tau - dists).min() < 1e-9
 
 
+@pytest.mark.parametrize("modulus", [math.pi, math.tau])
+def test_circular_median_matches_pairwise_matrix(modulus):
+    # Reference: the full M x M deviation matrix, summed along its rows.
+    rng = np.random.default_rng(1)
+    for m in (1, 2, 3, 10, 101, 500):
+        for decimals in (None, 1):
+            arr = rng.uniform(-10.0, 10.0, m)
+            if decimals is not None:
+                arr = np.round(arr, decimals)   # many exact ties
+            canon = np.mod(arr, modulus)
+            diffs = np.abs(canon[:, None] - canon[None, :])
+            score = np.minimum(diffs, modulus - diffs).sum(axis=1)
+            expected = float(np.min(canon[score == score.min()]))
+            assert circular_median(arr, modulus) == expected
+
+
+def test_circular_median_memory_is_linear():
+    import tracemalloc
+
+    angles = np.random.default_rng(0).uniform(-10.0, 10.0, 4000)
+    tracemalloc.start()
+    try:
+        circular_median(angles, math.pi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # An M x M float matrix would be 128 MB here; the arrays are 32 kB each.
+    assert peak < 2 * 2**20
+
+
 def test_non_finite_rejected():
     for fn in (wrap_axis, wrap_to_pi, rot2, wedge):
         with pytest.raises(InvalidArgumentError):
