@@ -120,6 +120,15 @@ class SolverOptions:
     grid_init_max_pairs: int = 60
     excitation_thresholds: ExcitationThresholds | None = None
 
+    def __post_init__(self):
+        # Outside these bounds LM retries a rejected step forever or divides by zero.
+        if not 0.0 < self.lambda0 <= self.lambda_max < math.inf:
+            raise InvalidArgumentError("need 0 < lambda0 <= lambda_max < inf")
+        if not (self.lambda_up > 1.0 and self.lambda_down > 0.0):
+            raise InvalidArgumentError("need lambda_up > 1 and lambda_down > 0")
+        if self.max_iterations < 0:
+            raise InvalidArgumentError("max_iterations must be >= 0")
+
 
 @dataclass
 class CalibrationReport:

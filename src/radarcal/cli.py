@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import math
 import sys
 from pathlib import Path
@@ -54,13 +55,18 @@ from .errors import (
     UnidentifiableError,
 )
 from .geometry import wrap_axis, wrap_to_pi
+from .pipeline_io import ExperimentMatrix
 from .scale_recovery import (
+    DEFAULT_HEADING_SIGMA,
+    DEFAULT_JERK_PSD,
+    DEFAULT_MIN_RATE,
     load_angular_rate_csv,
     load_heading_csv,
     recover_scale,
     smooth_angular_rate_from_poses,
 )
 from .simulator import (
+    DEFAULT_LANDMARKS,
     DEFAULT_THETA_BA,
     DEFAULT_TRANSLATION,
     NoiseSpec,
@@ -155,49 +161,32 @@ def _pairs_from_input(path, cfg: pipeline_io.PipelineConfig):
 # simulate
 
 
-def _write_trial(spec: dict) -> None:
+def _write_trial(trial_dir: Path, key: tuple, profile: TrajectoryProfile, noise: NoiseSpec,
+                 theta_ba: float, translation, landmarks: int | None) -> None:
     """One self-contained simulation trial; safe to run in a worker process.
 
-    All randomness derives from the (seed, cell, trial) indices, so the
-    output is identical no matter how trials are distributed over workers.
+    All randomness derives from ``key``, the (seed, sigma, duration, trial)
+    indices, so the output is identical no matter how trials are distributed
+    over workers.  ``landmarks=None`` writes no scans.
     """
-    profile = TrajectoryProfile(
-        kind=spec["profile"],
-        duration=spec["duration"],
-        rate=spec["rate"],
-        speed=spec["speed"],
-        omega=spec["omega"],
-    )
-    truth = generate_trajectory(
-        profile, theta_ba=spec["theta_ba"], translation=spec["translation"]
-    )
-    noise = NoiseSpec(
-        sigma_r=spec["sigma"],
-        detection_sigma=spec["detection_sigma"],
-        outlier_fraction=spec["outlier_fraction"],
-    )
-    trial = Path(spec["trial_dir"])
-    trial.mkdir(parents=True, exist_ok=True)
-    key = (spec["seed"], spec["si"], spec["di"], spec["k"])
-    pipeline_io.save_truth(truth, trial / "truth.txt")
+    truth = generate_trajectory(profile, theta_ba=theta_ba, translation=translation)
+    trial_dir.mkdir(parents=True, exist_ok=True)
+    pipeline_io.save_truth(truth, trial_dir / "truth.txt")
     pairs = simulate_pairs(truth, noise, rng_seed=np.random.SeedSequence(key + (0,)))
-    pipeline_io.save_pairs(pairs, trial / "pairs.txt")
-    if spec["scans"]:
-        landmarks = sample_landmarks(
-            truth, n=spec["landmarks"], rng_seed=np.random.SeedSequence(key + (1,))
-        )
-        sim = simulate_scans(truth, landmarks, noise, rng_seed=np.random.SeedSequence(key + (2,)))
-        pipeline_io.save_scans(sim.scans, trial / "scans.txt")
+    pipeline_io.save_pairs(pairs, trial_dir / "pairs.txt")
+    if landmarks is not None:
+        points = sample_landmarks(truth, n=landmarks, rng_seed=np.random.SeedSequence(key + (1,)))
+        sim = simulate_scans(truth, points, noise, rng_seed=np.random.SeedSequence(key + (2,)))
+        pipeline_io.save_scans(sim.scans, trial_dir / "scans.txt")
 
 
 def cmd_simulate(args) -> int:
     if args.jobs < 1:
         raise InvalidArgumentError("--jobs must be >= 1")
+    noises = [NoiseSpec(sigma, args.detection_sigma, args.outlier_fraction) for sigma in args.sigma]
     out = _outdir(args)
     cfg = pipeline_io.PipelineConfig()
-    cfg.experiment.trials = args.trials
-    cfg.experiment.sigmas = tuple(args.sigma)
-    cfg.experiment.durations = tuple(args.duration)
+    cfg.experiment = ExperimentMatrix(args.trials, tuple(args.sigma), tuple(args.duration))
     _write_resolved_config(
         cfg,
         out,
@@ -209,43 +198,33 @@ def cmd_simulate(args) -> int:
             f"simulate jobs={args.jobs}",
         ],
     )
-    specs = []
+    write = functools.partial(
+        _write_trial, theta_ba=args.theta_ba, translation=args.translation,
+        landmarks=args.landmarks if args.scans else None,
+    )
+    jobs = []
     cells = []
-    for si, sigma in enumerate(args.sigma):
+    for si, (sigma, noise) in enumerate(zip(args.sigma, noises)):
         for di, duration in enumerate(args.duration):
+            profile = TrajectoryProfile(
+                kind=args.profile, duration=duration, rate=args.rate, speed=args.speed,
+                omega=args.omega,
+            )
             cell = out / f"sigma_{_num_tag(sigma)}" / f"dur_{_num_tag(duration)}"
             cells.append(cell)
-            for k in range(args.trials):
-                specs.append(
-                    {
-                        "profile": args.profile,
-                        "duration": duration,
-                        "rate": args.rate,
-                        "speed": args.speed,
-                        "omega": args.omega,
-                        "theta_ba": args.theta_ba,
-                        "translation": args.translation,
-                        "sigma": sigma,
-                        "detection_sigma": args.detection_sigma,
-                        "outlier_fraction": args.outlier_fraction,
-                        "scans": args.scans,
-                        "landmarks": args.landmarks,
-                        "seed": args.seed,
-                        "si": si,
-                        "di": di,
-                        "k": k,
-                        "trial_dir": str(cell / f"trial_{k}"),
-                    }
-                )
-    if args.jobs > 1 and len(specs) > 1:
+            jobs += [
+                (cell / f"trial_{k}", (args.seed, si, di, k), profile, noise)
+                for k in range(args.trials)
+            ]
+    if args.jobs > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(_write_trial, specs, chunksize=4))
+            list(pool.map(write, *zip(*jobs), chunksize=4))
     else:
-        for spec in specs:
-            _write_trial(spec)
+        for job in jobs:
+            write(*job)
     for cell in cells:
         print(f"wrote {args.trials} trials under {cell}")
-    print(f"simulated {len(specs)} trials total")
+    print(f"simulated {len(jobs)} trials total")
     return EXIT_OK
 
 
@@ -422,29 +401,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
         "--profile",
-        default="periodic_default",
+        default=TrajectoryProfile.kind,
         choices=("periodic_default", "constant_omega", "straight_line"),
     )
-    p.add_argument("--duration", nargs="+", type=float, default=[15.0, 120.0],
+    p.add_argument("--duration", nargs="+", type=float, default=ExperimentMatrix.durations,
                    help="sweep of durations in seconds")
-    p.add_argument("--sigma", nargs="+", type=float, default=[0.05, 0.1, 0.2],
+    p.add_argument("--sigma", nargs="+", type=float, default=ExperimentMatrix.sigmas,
                    help="sweep of velocity noise levels in m/s")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--rate", type=float, default=10.0, help="samples per second")
+    p.add_argument("--trials", type=int, default=ExperimentMatrix.trials)
+    p.add_argument("--rate", type=float, default=TrajectoryProfile.rate,
+                   help="samples per second")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta-ba", type=float, default=DEFAULT_THETA_BA)
     p.add_argument("--translation", type=_translation_arg, default=DEFAULT_TRANSLATION,
                    metavar="X,Y")
-    p.add_argument("--speed", type=float, default=1.0,
+    p.add_argument("--speed", type=float, default=TrajectoryProfile.speed,
                    help="forward speed for the constant profiles")
-    p.add_argument("--omega", type=float, default=0.5,
+    p.add_argument("--omega", type=float, default=TrajectoryProfile.omega,
                    help="turn rate for the constant_omega profile")
     p.add_argument("--scans", dest="scans", action="store_true", default=True,
                    help="also write detection-level scans (default)")
     p.add_argument("--no-scans", dest="scans", action="store_false")
-    p.add_argument("--landmarks", type=int, default=40)
-    p.add_argument("--detection-sigma", type=float, default=0.01)
-    p.add_argument("--outlier-fraction", type=float, default=0.0)
+    p.add_argument("--landmarks", type=int, default=DEFAULT_LANDMARKS)
+    p.add_argument("--detection-sigma", type=float, default=NoiseSpec.detection_sigma)
+    p.add_argument("--outlier-fraction", type=float, default=NoiseSpec.outlier_fraction)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for trial-level parallelism")
     p.set_defaults(func=cmd_simulate)
@@ -476,9 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--rates", help="CSV of timestamp,angular_rate")
     src.add_argument("--poses", help="CSV of timestamp,heading; rates come from smoothing")
-    p.add_argument("--min-rate", type=float, default=0.1)
-    p.add_argument("--heading-sigma", type=float, default=0.01)
-    p.add_argument("--jerk-psd", type=float, default=0.5)
+    p.add_argument("--min-rate", type=float, default=DEFAULT_MIN_RATE)
+    p.add_argument("--heading-sigma", type=float, default=DEFAULT_HEADING_SIGMA)
+    p.add_argument("--jerk-psd", type=float, default=DEFAULT_JERK_PSD)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_recover_scale)
 

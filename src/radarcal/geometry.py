@@ -30,6 +30,8 @@ Angle = float
 Vec2 = np.ndarray
 Mat2 = np.ndarray
 
+_MEDIAN_BLOCK_CELLS = 1 << 16  # pairwise distances circular_median holds at once
+
 
 def rot2(theta: Angle) -> Mat2:
     """Counterclockwise rotation matrix for the angle ``theta``."""
@@ -117,7 +119,8 @@ def circular_median(angles: np.ndarray, modulus: float = math.tau) -> Angle:
     Returns the sample value minimizing the summed absolute circular
     deviation to all other samples; ties break toward the smaller canonical
     value.  Robust against wraparound, unlike a plain median.  Scores are
-    summed one sample at a time: O(M) memory, O(M^2) time.
+    summed over blocks of rows of at most ``_MEDIAN_BLOCK_CELLS`` pairwise
+    distances: O(M) memory, O(M^2) time.
     """
     arr = np.asarray(angles, dtype=float)
     if arr.size == 0:
@@ -126,8 +129,9 @@ def circular_median(angles: np.ndarray, modulus: float = math.tau) -> Angle:
         raise InvalidArgumentError("circular_median requires finite angles")
     canon = np.mod(arr, modulus)
     score = np.empty_like(canon)
-    for i, c in enumerate(canon):
-        d = np.abs(c - canon)
-        score[i] = np.minimum(d, modulus - d).sum()
+    rows = max(1, _MEDIAN_BLOCK_CELLS // canon.size)
+    for i in range(0, canon.size, rows):
+        d = np.abs(canon[i:i + rows, None] - canon)
+        score[i:i + rows] = np.minimum(d, modulus - d, out=d).sum(axis=1)
     best = np.flatnonzero(score == score.min())
     return float(np.min(canon[best]))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -385,38 +385,26 @@ def filter_pairs(pairs, min_speed: float = DEFAULT_MIN_SPEED) -> list[Measuremen
 # ---------------------------------------------------------------------------
 # Config files
 
-_CONFIG_FIELDS = {
-    "ransac.residual_threshold": ("ransac", "residual_threshold", float),
-    "ransac.inlier_fraction_threshold": ("ransac", "inlier_fraction_threshold", float),
-    "ransac.max_iterations": ("ransac", "max_iterations", int),
-    "ransac.rng_seed": ("ransac", "rng_seed", int),
-    "solver.max_iterations": ("solver", "max_iterations", int),
-    "solver.gradient_tol": ("solver", "gradient_tol", float),
-    "solver.relative_cost_tol": ("solver", "relative_cost_tol", float),
-    "solver.step_tol": ("solver", "step_tol", float),
-    "solver.lambda0": ("solver", "lambda0", float),
-    "solver.lambda_up": ("solver", "lambda_up", float),
-    "solver.lambda_down": ("solver", "lambda_down", float),
-    "solver.lambda_max": ("solver", "lambda_max", float),
-    "solver.min_speed": ("solver", "min_speed", float),
-    "solver.min_lever": ("solver", "min_lever", float),
-    "solver.cov_floor": ("solver", "cov_floor", float),
-    "solver.enforce_excitation": ("solver", "enforce_excitation", bool),
-    "solver.max_degenerate_fraction": ("solver", "max_degenerate_fraction", float),
-    "solver.restart_cost_ratio": ("solver", "restart_cost_ratio", float),
-    "solver.grid_init_max_pairs": ("solver", "grid_init_max_pairs", int),
-    "excitation.det_rel_tol": ("excitation", "det_rel_tol", float),
-    "excitation.speed_floor": ("excitation", "speed_floor", float),
-    "excitation.align_tol": ("excitation", "align_tol", float),
-    "excitation.alpha_rel_tol": ("excitation", "alpha_rel_tol", float),
-    "excitation.alpha_abs_floor": ("excitation", "alpha_abs_floor", float),
-    "excitation.flag_fraction": ("excitation", "flag_fraction", float),
-    "experiment.trials": ("experiment", "trials", int),
-    "experiment.sigmas": ("experiment", "sigmas", "floats"),
-    "experiment.durations": ("experiment", "durations", "floats"),
-    "min_speed": (None, "min_speed", float),
-    "sync_max_gap": (None, "sync_max_gap", float),
-}
+def _config_fields() -> dict:
+    """Config key -> (section, attribute, type), read off the dataclasses.
+
+    Every field of :class:`PipelineConfig` or of one of its sections whose
+    default is a number, a flag or a tuple of floats is a key; fields that
+    default to ``None`` stay library-only.
+    """
+    sections = [(None, PipelineConfig)] + [
+        (f.name, f.default_factory) for f in fields(PipelineConfig) if f.default_factory is not MISSING
+    ]
+    out = {}
+    for section, cls in sections:
+        for f in fields(cls):
+            typ = "floats" if isinstance(f.default, tuple) else type(f.default)
+            if typ in (bool, int, float, "floats"):
+                out[f.name if section is None else f"{section}.{f.name}"] = (section, f.name, typ)
+    return out
+
+
+_CONFIG_FIELDS = _config_fields()
 
 
 def serialize_config(cfg: PipelineConfig) -> str:
@@ -438,11 +426,14 @@ def serialize_config(cfg: PipelineConfig) -> str:
 
 
 def parse_config(text: str) -> PipelineConfig:
-    cfg = PipelineConfig()
+    """Read a config file.  NaN is rejected for every float key, and each
+    section's values must pass the section's own checks; if they do not, the
+    ParseError names the first line at which the values read so far fail."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty config")
     _check_header(lines[0], CONFIG_HEADER)
+    read: dict = {}  # section -> [(attr, value, key, lineno)] in file order
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -455,7 +446,6 @@ def parse_config(text: str) -> PipelineConfig:
         if key not in _CONFIG_FIELDS:
             raise ParseError(f"unknown config key {key!r}", lineno)
         section, attr, typ = _CONFIG_FIELDS[key]
-        obj = cfg if section is None else getattr(cfg, section)
         try:
             if typ == "floats":
                 val = tuple(float(v) for v in raw.split(",") if v.strip())
@@ -467,7 +457,23 @@ def parse_config(text: str) -> PipelineConfig:
                 val = typ(raw)
         except ValueError:
             raise ParseError(f"bad value {raw!r} for {key}", lineno)
-        setattr(obj, attr, val)
+        if any(math.isnan(v) for v in (val if typ == "floats" else (val,))):
+            raise ParseError(f"{key} must not be NaN", lineno)
+        read.setdefault(section, []).append((attr, val, key, lineno))
+    cfg = PipelineConfig()
+    for section, entries in read.items():
+        obj = cfg if section is None else getattr(cfg, section)
+        changes, first_error = {}, None
+        for attr, val, key, lineno in entries:
+            changes[attr] = val
+            try:
+                new = replace(obj, **changes)
+            except InvalidArgumentError as exc:
+                first_error = first_error or ParseError(f"bad value for {key}: {exc}", lineno)
+                new = None
+        if new is None:
+            raise first_error
+        cfg = new if section is None else replace(cfg, **{section: new})
     return cfg
 
 

@@ -28,6 +28,8 @@ import numpy as np
 from .errors import InsufficientExcitationError, InvalidArgumentError, ParseError
 
 DEFAULT_MIN_RATE = 0.1   # rad/s, reference rates below this are unreliable divisors
+DEFAULT_HEADING_SIGMA = 0.01  # rad, heading noise assumed by the pose smoother
+DEFAULT_JERK_PSD = 0.5        # rad^2/s^5, angular jerk density of the pose smoother
 MIN_SAMPLES = 10
 
 
@@ -60,8 +62,8 @@ class ScaleResult:
 def smooth_angular_rate_from_poses(
     timestamps: np.ndarray,
     headings: np.ndarray,
-    heading_sigma: float = 0.01,
-    jerk_psd: float = 0.5,
+    heading_sigma: float = DEFAULT_HEADING_SIGMA,
+    jerk_psd: float = DEFAULT_JERK_PSD,
 ) -> AngularRateSeries:
     """Angular rate series from noisy heading samples.
 
@@ -87,14 +89,12 @@ def smooth_angular_rate_from_poses(
     P = np.diag([r, 1.0, 1.0])
 
     xs_pred = np.zeros((n, 3))
-    ps_pred = np.zeros((n, 3, 3))
     xs_filt = np.zeros((n, 3))
-    ps_filt = np.zeros((n, 3, 3))
-    fs = np.zeros((n, 3, 3))
+    gains = np.zeros((n - 1, 3, 3))  # RTS smoother gains, filled as the filter runs
 
     for i in range(n):
         if i == 0:
-            xp, Pp, F = x, P, np.eye(3)
+            xp, Pp = x, P
         else:
             dt = t[i] - t[i - 1]
             F = np.array([[1.0, dt, 0.5 * dt * dt], [0.0, 1.0, dt], [0.0, 0.0, 1.0]])
@@ -107,18 +107,17 @@ def smooth_angular_rate_from_poses(
             )
             xp = F @ x
             Pp = F @ P @ F.T + Q
+            gains[i - 1] = P @ F.T @ np.linalg.inv(Pp)
         innov = z[i] - hrow @ xp
         s = float(hrow @ Pp @ hrow) + r
         k = (Pp @ hrow) / s
         x = xp + k * innov
         P = (np.eye(3) - np.outer(k, hrow)) @ Pp
-        xs_pred[i], ps_pred[i], fs[i] = xp, Pp, F
-        xs_filt[i], ps_filt[i] = x, P
+        xs_pred[i], xs_filt[i] = xp, x
 
     xs = xs_filt.copy()
     for i in range(n - 2, -1, -1):
-        gain = ps_filt[i] @ fs[i + 1].T @ np.linalg.inv(ps_pred[i + 1])
-        xs[i] = xs_filt[i] + gain @ (xs[i + 1] - xs_pred[i + 1])
+        xs[i] = xs_filt[i] + gains[i] @ (xs[i + 1] - xs_pred[i + 1])
 
     return AngularRateSeries(timestamps=t.copy(), omega=xs[:, 1])
 

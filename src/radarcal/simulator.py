@@ -30,6 +30,7 @@ KINDS = ("periodic_default", "constant_omega", "straight_line", "custom_harmonic
 
 DEFAULT_THETA_BA = -1.58
 DEFAULT_TRANSLATION = (1.2, 1.6)  # 2 m baseline at a 53 degree axis angle
+DEFAULT_LANDMARKS = 40
 
 
 @dataclass
@@ -238,7 +239,7 @@ def simulate_pairs(truth: GroundTruth, noise: NoiseSpec, rng_seed=0) -> list[Mea
 
 def sample_landmarks(
     truth: GroundTruth,
-    n: int = 40,
+    n: int = DEFAULT_LANDMARKS,
     r_min: float = 3.0,
     r_max: float = 25.0,
     rng_seed=0,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -412,6 +413,20 @@ def test_excitation_check_uses_solver_cov_floor():
     floored = excitation_report(_pair_data(pairs, 1.0), verdict.guess)
     assert verdict.report == floored
     assert excitation_report(pairs, verdict.guess) != floored
+
+
+@pytest.mark.parametrize("bad", [
+    {"lambda0": 0.0}, {"lambda0": 1e13}, {"lambda_max": math.inf}, {"lambda_up": 1.0},
+    {"lambda_down": 0.0}, {"lambda_up": math.nan}, {"max_iterations": -1},
+])
+def test_solver_options_reject_damping_that_cannot_terminate(bad):
+    with pytest.raises(InvalidArgumentError):
+        SolverOptions(**bad)
+
+
+def test_solver_options_accept_edge_values():
+    opts = SolverOptions(max_iterations=0, lambda0=1e12)
+    assert dataclasses.replace(opts, grid_init_max_pairs=0, restart_cost_ratio=math.inf)
 
 
 def test_solve_refuses_constant_turn_rate_data():

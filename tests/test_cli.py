@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from radarcal import cli
 from radarcal.ego_velocity import Detection
 from radarcal.pipeline_io import (
+    ExperimentMatrix,
     load_pairs,
     load_scans,
     load_truth,
@@ -14,6 +16,8 @@ from radarcal.pipeline_io import (
     save_pairs,
     save_scans,
 )
+from radarcal.scale_recovery import recover_scale, smooth_angular_rate_from_poses
+from radarcal.simulator import NoiseSpec, TrajectoryProfile, generate_trajectory, sample_landmarks
 
 
 def run(*argv) -> int:
@@ -42,7 +46,59 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run("calibrate", "--input", "x") == cli.EXIT_USAGE  # --out missing
     assert run("simulate", "--out", tmp_path / "s", "--translation", "1;2") == cli.EXIT_USAGE
     assert run("simulate", "--out", tmp_path / "s", "--jobs", 0) == cli.EXIT_USAGE
+    assert run("simulate", "--out", tmp_path / "s", "--sigma", 0.1, -1) == cli.EXIT_USAGE
+    assert not (tmp_path / "s").exists()  # bad noise levels fail before anything is written
     capsys.readouterr()
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    sim = parser.parse_args(["simulate", "--out", "o"])
+    profile, noise, matrix = TrajectoryProfile(), NoiseSpec(), ExperimentMatrix()
+    assert (sim.profile, sim.rate, sim.speed, sim.omega) == (
+        profile.kind, profile.rate, profile.speed, profile.omega
+    )
+    assert (sim.detection_sigma, sim.outlier_fraction) == (
+        noise.detection_sigma, noise.outlier_fraction
+    )
+    assert (tuple(sim.sigma), tuple(sim.duration), sim.trials) == (
+        matrix.sigmas, matrix.durations, matrix.trials
+    )
+    trajectory = inspect.signature(generate_trajectory).parameters
+    assert (sim.theta_ba, sim.translation, sim.landmarks) == (
+        trajectory["theta_ba"].default, trajectory["translation"].default,
+        inspect.signature(sample_landmarks).parameters["n"].default,
+    )
+    rec = parser.parse_args(["recover-scale", "--report", "r", "--rates", "x", "--out", "o"])
+    smoother = inspect.signature(smooth_angular_rate_from_poses).parameters
+    assert (rec.min_rate, rec.heading_sigma, rec.jerk_psd) == (
+        inspect.signature(recover_scale).parameters["min_rate"].default,
+        smoother["heading_sigma"].default, smoother["jerk_psd"].default,
+    )
+
+
+@pytest.fixture(scope="module")
+def constant_turn_pairs(tmp_path_factory):
+    """Noise-free constant-turn-rate pairs, which default settings refuse with exit 5."""
+    out = tmp_path_factory.mktemp("constant_turn")
+    assert run("simulate", "--out", out, "--trials", 1, "--sigma", 0, "--duration", 15,
+               "--profile", "constant_omega", "--no-scans") == cli.EXIT_OK
+    return trial_dir(out, sigma="0") / "pairs.txt"
+
+
+@pytest.mark.parametrize("line", [
+    "ransac.max_iterations = 0", "solver.lambda_down = 0", "solver.lambda_up = 1",
+    "solver.lambda0 = 0", "solver.lambda_max = inf", "solver.max_degenerate_fraction = nan",
+    "excitation.flag_fraction = nan", "excitation.align_tol = nan",
+])
+def test_bad_config_values_exit_3(tmp_path, constant_turn_pairs, line, capsys):
+    cfg = tmp_path / "bad.txt"
+    cfg.write_text(f"# radarcal config 1\n# comment\n{line}\n")
+    code = run("calibrate", "--input", constant_turn_pairs, "--out", tmp_path / "cal",
+               "--config", cfg)
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "line 3" in err and line.split(" = ")[0] in err
 
 
 @pytest.mark.parametrize("command", ["calibrate", "excitation-check", "evaluate"])

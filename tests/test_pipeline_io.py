@@ -8,6 +8,7 @@ from radarcal.calib_solver import MeasurementPair, solve_lm
 from radarcal.ego_velocity import Detection, EgoVelocityEstimate, RadarScan, RansacConfig
 from radarcal.errors import InvalidArgumentError, ParseError
 from radarcal.pipeline_io import (
+    _CONFIG_FIELDS,
     PAIRS_HEADER,
     PipelineConfig,
     estimate_stream,
@@ -308,6 +309,52 @@ def test_config_rejects_unknown_keys_and_bad_values():
         parse_config("not a config\n")
     with pytest.raises(ParseError):
         parse_config("")
+
+
+CONFIG_KEYS = [
+    "excitation.align_tol", "excitation.alpha_abs_floor", "excitation.alpha_rel_tol",
+    "excitation.det_rel_tol", "excitation.flag_fraction", "excitation.speed_floor",
+    "experiment.durations", "experiment.sigmas", "experiment.trials", "min_speed",
+    "ransac.inlier_fraction_threshold", "ransac.max_iterations", "ransac.residual_threshold",
+    "ransac.rng_seed", "solver.cov_floor", "solver.enforce_excitation", "solver.gradient_tol",
+    "solver.grid_init_max_pairs", "solver.lambda0", "solver.lambda_down", "solver.lambda_max",
+    "solver.lambda_up", "solver.max_degenerate_fraction", "solver.max_iterations",
+    "solver.min_lever", "solver.min_speed", "solver.relative_cost_tol",
+    "solver.restart_cost_ratio", "solver.step_tol", "sync_max_gap",
+]
+
+
+def test_config_keys_are_pinned():
+    # Keys are read off the option dataclasses; a new field changes the file format.
+    lines = serialize_config(PipelineConfig()).splitlines()[1:]
+    assert [line.split(" = ")[0] for line in lines] == CONFIG_KEYS
+
+
+@pytest.mark.parametrize(
+    "key", sorted(k for k, (_, _, typ) in _CONFIG_FIELDS.items() if typ in (float, "floats"))
+)
+def test_config_rejects_nan_for_every_float_key(key):
+    with pytest.raises(ParseError) as exc:
+        parse_config(f"# radarcal config 1\n{key} = nan\n")
+    assert exc.value.line == 2 and key in str(exc.value)
+
+
+def test_config_values_pass_the_dataclass_checks():
+    with pytest.raises(ParseError) as exc:
+        parse_config("# radarcal config 1\nmin_speed = 0.2\nsolver.lambda_down = 0\n")
+    assert exc.value.line == 3 and "solver.lambda_down" in str(exc.value)
+    # inf stays legal where the field allows it
+    cfg = parse_config("# radarcal config 1\nsolver.restart_cost_ratio = inf\n")
+    assert cfg.solver.restart_cost_ratio == math.inf
+
+
+@pytest.mark.parametrize("order", [("lambda0", "lambda_max"), ("lambda_max", "lambda0")])
+def test_config_validity_does_not_depend_on_line_order(order):
+    values = {"lambda0": "1e13", "lambda_max": "1e14"}
+    text = "# radarcal config 1\n" + "".join(f"solver.{k} = {values[k]}\n" for k in order)
+    cfg = parse_config(text)
+    assert (cfg.solver.lambda0, cfg.solver.lambda_max) == (1e13, 1e14)
+    assert serialize_config(parse_config(serialize_config(cfg))) == serialize_config(cfg)
 
 
 def test_config_ignores_comments_and_blank_lines():
