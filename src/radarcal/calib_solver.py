@@ -128,6 +128,18 @@ class SolverOptions:
             raise InvalidArgumentError("need lambda_up > 1 and lambda_down > 0")
         if self.max_iterations < 0:
             raise InvalidArgumentError("max_iterations must be >= 0")
+        # Written as ``not (...)`` so that NaN fails every check.
+        if not 0.0 <= self.cov_floor < math.inf:
+            raise InvalidArgumentError("need 0 <= cov_floor < inf")
+        for name in ("gradient_tol", "relative_cost_tol", "step_tol", "min_speed", "min_lever"):
+            if not getattr(self, name) >= 0.0:
+                raise InvalidArgumentError(f"{name} must be >= 0")
+        if not 0.0 <= self.max_degenerate_fraction <= 1.0:
+            raise InvalidArgumentError("max_degenerate_fraction must be in [0, 1]")
+        if not self.grid_init_max_pairs >= 0:
+            raise InvalidArgumentError("grid_init_max_pairs must be >= 0")
+        if not self.restart_cost_ratio > 0.0:
+            raise InvalidArgumentError("restart_cost_ratio must be > 0 (inf turns the restart off)")
 
 
 @dataclass
@@ -775,13 +787,13 @@ def solve_lm(pairs: list[MeasurementPair], options: SolverOptions | None = None)
     # above the residual count implied by the declared covariances.
     dof = max(4 * M - (3 * M + 2), 1)
     if M <= opts.grid_init_max_pairs:
-        tt_g, tb_g = _coarse_grid_init(data, step_deg=2.5)
-        retry = _run_lm(data, tt_g, tb_g, opts)
-        if retry.cost < run.cost:
-            run = retry
+        step_deg = 2.5
     elif run.cost / dof > opts.restart_cost_ratio:
-        tt_g, tb_g = _coarse_grid_init(data, step_deg=10.0)
-        retry = _run_lm(data, tt_g, tb_g, opts)
+        step_deg = 10.0
+    else:
+        step_deg = None
+    if step_deg is not None:
+        retry = _run_lm(data, *_coarse_grid_init(data, step_deg), opts)
         if retry.cost < run.cost:
             run = retry
 

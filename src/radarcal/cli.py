@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import functools
 import math
 import sys
@@ -100,20 +101,32 @@ def _num_tag(x: float) -> str:
 
 
 def _load_config(args) -> pipeline_io.PipelineConfig:
+    """The config file (or the defaults) with the command-line overrides
+    applied; an override passes the same checks as a file value."""
     if getattr(args, "config", None):
         cfg = pipeline_io.load_config(args.config)
     else:
         cfg = pipeline_io.PipelineConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.ransac.rng_seed = args.seed
-    if getattr(args, "no_enforce_excitation", False):
-        cfg.solver.enforce_excitation = False
-    if getattr(args, "min_speed", None) is not None:
-        cfg.min_speed = args.min_speed
-    if getattr(args, "sync_max_gap", None) is not None:
-        cfg.sync_max_gap = args.sync_max_gap
-    cfg.solver.excitation_thresholds = cfg.excitation
-    return cfg
+    overrides = [  # (flag, section or None for the top level, field, value or None)
+        ("--seed", "ransac", "rng_seed", getattr(args, "seed", None)),
+        ("--no-enforce-excitation", "solver", "enforce_excitation",
+         False if getattr(args, "no_enforce_excitation", False) else None),
+        ("--min-speed", None, "min_speed", getattr(args, "min_speed", None)),
+        ("--sync-max-gap", None, "sync_max_gap", getattr(args, "sync_max_gap", None)),
+    ]
+    for flag, section, name, value in overrides:
+        if value is None:
+            continue
+        try:
+            if section is None:
+                cfg = dataclasses.replace(cfg, **{name: value})
+            else:
+                new = dataclasses.replace(getattr(cfg, section), **{name: value})
+                cfg = dataclasses.replace(cfg, **{section: new})
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"bad value for {flag}: {exc}") from None
+    solver = dataclasses.replace(cfg.solver, excitation_thresholds=cfg.excitation)
+    return dataclasses.replace(cfg, solver=solver)
 
 
 def _outdir(args) -> Path:

@@ -118,7 +118,7 @@ class RansacConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.residual_threshold <= 0.0:
+        if not self.residual_threshold > 0.0:
             raise InvalidArgumentError("residual_threshold must be positive")
         if not 0.0 < self.inlier_fraction_threshold <= 1.0:
             raise InvalidArgumentError("inlier_fraction_threshold must be in (0, 1]")
@@ -182,10 +182,12 @@ def _scan_seed(rng_seed: int, timestamp: float) -> np.random.SeedSequence:
 def ransac_ego_velocity(scan: RadarScan, config: RansacConfig) -> EgoVelocityEstimate:
     """Robust ego-velocity for one scan.
 
-    Two-point hypotheses are scored by inlier count with ties broken by the
-    lower inlier residual RMS; the winner is refit by least squares over its
-    whole consensus set.  Raises NoConsensusError when the best consensus
-    set is below the configured fraction (or too small to refit).
+    ``max_iterations`` two-point hypotheses are drawn one ``rng.choice`` at a
+    time, then scored all at once: most inliers wins, ties go to the strictly
+    lower inlier residual RMS, then to the earliest draw.  The winner is refit
+    by least squares over its whole consensus set.  Raises NoConsensusError
+    when the best consensus set is below the configured fraction (or too
+    small to refit).
     """
     n = len(scan.detections)
     if n < MIN_DETECTIONS:
@@ -196,37 +198,31 @@ def ransac_ego_velocity(scan: RadarScan, config: RansacConfig) -> EgoVelocityEst
     A, y = system.A, system.y
 
     rng = np.random.default_rng(_scan_seed(config.rng_seed, scan.timestamp))
-    best_mask = None
-    best_count = 0
-    best_rms = math.inf
-    for _ in range(config.max_iterations):
-        i, j = rng.choice(n, size=RANSAC_MIN_SAMPLE, replace=False)
-        As = A[[i, j]]
-        det = As[0, 0] * As[1, 1] - As[0, 1] * As[1, 0]
-        if abs(det) < 1e-12:
-            continue  # parallel line-of-sight pair constrains only one axis
-        v = np.array(
-            [
-                (As[1, 1] * y[i] - As[0, 1] * y[j]) / det,
-                (As[0, 0] * y[j] - As[1, 0] * y[i]) / det,
-            ]
-        )
-        resid = np.abs(y - A @ v)
-        mask = resid <= config.residual_threshold
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        rms = float(np.sqrt(np.mean(resid[mask] ** 2)))
-        if count > best_count or (count == best_count and rms < best_rms):
-            best_count = count
-            best_rms = rms
-            best_mask = mask
+    i, j = np.array(
+        [rng.choice(n, size=RANSAC_MIN_SAMPLE, replace=False) for _ in range(config.max_iterations)]
+    ).T
+    det = A[i, 0] * A[j, 1] - A[i, 1] * A[j, 0]
+    ok = np.abs(det) >= 1e-12  # a parallel line-of-sight pair constrains only one axis
+    i, j, det = i[ok], j[ok], det[ok]
+    V = np.stack(
+        [(A[j, 1] * y[i] - A[i, 1] * y[j]) / det, (A[i, 0] * y[j] - A[j, 0] * y[i]) / det],
+        axis=1,
+    )
+    # Batched matrix-vector products round each row as ``A @ v`` does; ``V @ A.T`` would not.
+    resid = np.abs(y - (A @ V[:, :, None])[..., 0])
+    masks = resid <= config.residual_threshold
+    counts = masks.sum(axis=1)
+    rms = np.sqrt(np.where(masks, resid**2, 0.0).sum(axis=1) / np.maximum(counts, 1))
+    # Most inliers, then strictly lower RMS, then the earliest draw (the sort is stable).
+    order = np.lexsort((rms, -counts))
+    best_count = int(counts[order[0]]) if order.size else 0
 
-    if best_mask is None or best_count < max(MIN_DETECTIONS, math.ceil(config.inlier_fraction_threshold * n)):
+    if best_count < max(MIN_DETECTIONS, math.ceil(config.inlier_fraction_threshold * n)):
         raise NoConsensusError(
             f"scan at t={scan.timestamp}: best consensus {best_count}/{n} "
             f"below threshold {config.inlier_fraction_threshold:.2f}"
         )
+    best_mask = masks[order[0]].copy()  # not a view that keeps all K masks alive
 
     refit = solve_ego_velocity(
         LsqSystem(A=A[best_mask], y=y[best_mask]), timestamp=scan.timestamp

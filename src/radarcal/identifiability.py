@@ -16,7 +16,7 @@ hopeless data instead of returning an arbitrary answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,6 +62,14 @@ class ExcitationThresholds:
     alpha_rel_tol: float = 1e-3
     alpha_abs_floor: float = 1e-9
     flag_fraction: float = 0.9
+
+    def __post_init__(self):
+        # Written as ``not (...)`` so that NaN fails every check.
+        for f in fields(self):
+            if not getattr(self, f.name) >= 0.0:
+                raise InvalidArgumentError(f"{f.name} must be >= 0")
+        if not 0.0 < self.flag_fraction <= 1.0:
+            raise InvalidArgumentError("flag_fraction must be in (0, 1]")
 
 
 @dataclass

@@ -91,6 +91,13 @@ class PipelineConfig:
     min_speed: float = DEFAULT_MIN_SPEED
     sync_max_gap: float = DEFAULT_MAX_GAP
 
+    def __post_init__(self):
+        # Written as ``not (...)`` so that NaN fails every check.
+        if not self.min_speed >= 0.0:
+            raise InvalidArgumentError("min_speed must be >= 0")
+        if not self.sync_max_gap > 0.0:
+            raise InvalidArgumentError("sync_max_gap must be > 0")
+
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -329,7 +336,7 @@ def synchronize(
     ``max_gap`` seconds, produce no pair.  Exact timestamp matches pass
     radar b's estimate through unchanged.
     """
-    if max_gap <= 0:
+    if not max_gap > 0:
         raise InvalidArgumentError("max_gap must be positive")
     a_sorted = sorted(stream_a, key=lambda e: e.timestamp)
     b_sorted = sorted(stream_b, key=lambda e: e.timestamp)
@@ -371,7 +378,7 @@ def filter_pairs(pairs, min_speed: float = DEFAULT_MIN_SPEED) -> list[Measuremen
     Near-standstill velocities carry no direction information and would let
     noise dominate the fit.  Idempotent.
     """
-    if min_speed < 0:
+    if not min_speed >= 0:
         raise InvalidArgumentError("min_speed must be >= 0")
     out = []
     for p in pairs:

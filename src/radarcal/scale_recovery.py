@@ -134,8 +134,8 @@ def recover_scale(
     samples where it falls below ``min_rate`` (or lies outside the reference
     time span) are dropped.  Needs at least ``min_samples`` survivors.
     """
-    if min_rate <= 0:
-        raise InvalidArgumentError("min_rate must be positive")
+    if not min_rate > 0:
+        raise InvalidArgumentError(f"min_rate must be positive, got {min_rate}")
     if reference.timestamps.size < 2:
         raise InsufficientExcitationError("reference series too short to interpolate")
     ts = np.asarray(report.timestamps, dtype=float)

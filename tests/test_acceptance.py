@@ -317,53 +317,37 @@ def test_acceptance_07_ransac_robustness():
 def _grid_costs(pairs, tts, tbs):
     """Profile cost over a (theta_t, theta_ba) grid with closed-form motion.
 
-    Written against the model directly (normal equations per gridpoint), not
-    against the solver internals; cross-checked below against the public
-    per-point API before being trusted as the oracle.
+    Written against the model directly, not against the solver internals;
+    cross-checked below against the public per-point API before being
+    trusted as the oracle.  Per pair, ``h_a = v + n_a`` and
+    ``R^T h_b = v + omega_gamma u + R^T n_b`` with ``u = (-sin tt, cos tt)``.
+    Eliminating ``v`` leaves ``d = h_a - R^T h_b`` with covariance
+    ``C_a + R^T C_b R + 2 COV_FLOOR I``; eliminating ``omega_gamma`` then
+    leaves ``d^T H d - (u^T H d)^2 / (u^T H u)``, with ``H`` the inverse of
+    that covariance.  ``d`` and ``H`` depend on theta_ba alone, so the loop
+    runs over theta_ba and vectorizes over theta_t and the pairs.
     """
     ha = np.array([p.h_a for p in pairs], dtype=float)
     hb = np.array([p.h_b for p in pairs], dtype=float)
-    eye = COV_FLOOR * np.eye(2)
-    Pa = np.linalg.inv(np.array([p.cov_a for p in pairs], dtype=float) + eye)
-    Pb = np.linalg.inv(np.array([p.cov_b for p in pairs], dtype=float) + eye)
-    Paha = np.einsum("mij,mj->mi", Pa, ha)
+    Ca = np.array([p.cov_a for p in pairs], dtype=float)
+    Cb = np.array([p.cov_b for p in pairs], dtype=float)
+    u = np.stack([-np.sin(tts), np.cos(tts)], axis=1)  # (T, 2)
 
     best = math.inf
     arg = (math.nan, math.nan)
-    rows_per_call = 40
-    for lo in range(0, tts.size, rows_per_call):
-        tt = np.repeat(tts[lo : lo + rows_per_call], tbs.size)
-        tb = np.tile(tbs, tt.size // tbs.size)
-        cb, sb = np.cos(tb), np.sin(tb)
-        R = np.empty((tt.size, 2, 2))
-        R[:, 0, 0] = cb
-        R[:, 0, 1] = -sb
-        R[:, 1, 0] = sb
-        R[:, 1, 1] = cb
-        u = np.stack([-np.sin(tt), np.cos(tt)], axis=1)
-
-        Q = np.einsum("gji,mjk,gkl->gmil", R, Pb, R)
-        Qu = np.einsum("gmij,gj->gmi", Q, u)
-        rhs = np.empty((tt.size, len(pairs), 3))
-        rhs[:, :, :2] = Paha[None] + np.einsum("gji,mjk,mk->gmi", R, Pb, hb)
-        rhs[:, :, 2] = np.einsum("gi,gji,mjk,mk->gm", u, R, Pb, hb)
-        N = np.empty((tt.size, len(pairs), 3, 3))
-        N[:, :, :2, :2] = Pa[None] + Q
-        N[:, :, :2, 2] = Qu
-        N[:, :, 2, :2] = Qu
-        N[:, :, 2, 2] = np.einsum("gi,gmij,gj->gm", u, Q, u)
-        z = np.linalg.solve(N, rhs[..., None])[..., 0]
-        v, w = z[..., :2], z[..., 2]
-
-        ea = ha[None] - v
-        eb = hb[None] - np.einsum("gij,gmj->gmi", R, v + w[..., None] * u[:, None, :])
-        costs = np.einsum("gmi,mij,gmj->g", ea, Pa, ea) + np.einsum(
-            "gmi,mij,gmj->g", eb, Pb, eb
-        )
+    for tb in tbs:
+        c, s = math.cos(tb), math.sin(tb)
+        R = np.array([[c, -s], [s, c]])
+        d = ha - hb @ R  # rows h_a - R^T h_b
+        H = np.linalg.inv(Ca + R.T @ Cb @ R + 2.0 * COV_FLOOR * np.eye(2))
+        Hd = np.einsum("mij,mj->mi", H, d)
+        uHd = u @ Hd.T  # (T, M)
+        uHu = np.einsum("ti,mij,tj->tm", u, H, u)
+        costs = np.sum(d * Hd) - np.sum(uHd * uHd / uHu, axis=1)
         i = int(np.argmin(costs))
         if costs[i] < best:
             best = float(costs[i])
-            arg = (float(tt[i]), float(tb[i]))
+            arg = (float(tts[i]), float(tb))
     return best, arg
 
 

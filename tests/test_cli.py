@@ -50,6 +50,21 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert not (tmp_path / "s").exists()  # bad noise levels fail before anything is written
     capsys.readouterr()
 
+    # Command-line overrides pass the same checks as config-file values.
+    simulate(tmp_path / "sim")
+    pairs = trial_dir(tmp_path / "sim") / "pairs.txt"
+    for flag in ("--sync-max-gap", "--min-speed"):
+        code = run("calibrate", "--input", pairs, "--out", tmp_path / "bad", flag, "nan")
+        assert code == cli.EXIT_USAGE
+        assert flag in capsys.readouterr().err
+    assert run("calibrate", "--input", pairs, "--out", tmp_path / "cal") == cli.EXIT_OK
+    rates = tmp_path / "rates.csv"
+    rates.write_text("t,omega\n0,0.5\n100,0.5\n")
+    code = run("recover-scale", "--report", tmp_path / "cal" / "report.json", "--rates", rates,
+               "--out", tmp_path / "sc", "--min-rate", "nan")
+    assert code == cli.EXIT_USAGE
+    assert "min_rate" in capsys.readouterr().err
+
 
 def test_cli_defaults_are_the_library_defaults():
     parser = cli.build_parser()
@@ -90,6 +105,8 @@ def constant_turn_pairs(tmp_path_factory):
     "ransac.max_iterations = 0", "solver.lambda_down = 0", "solver.lambda_up = 1",
     "solver.lambda0 = 0", "solver.lambda_max = inf", "solver.max_degenerate_fraction = nan",
     "excitation.flag_fraction = nan", "excitation.align_tol = nan",
+    "solver.cov_floor = -1", "solver.cov_floor = inf", "solver.gradient_tol = -1",
+    "excitation.det_rel_tol = -1", "min_speed = -1", "solver.max_degenerate_fraction = inf",
 ])
 def test_bad_config_values_exit_3(tmp_path, constant_turn_pairs, line, capsys):
     cfg = tmp_path / "bad.txt"

@@ -5,20 +5,31 @@ import pytest
 from hypothesis import given, strategies as st
 
 from radarcal.ego_velocity import (
+    MIN_DETECTIONS,
+    RANSAC_MIN_SAMPLE,
     Detection,
     LsqSystem,
     RadarScan,
     RansacConfig,
+    _scan_seed,
     build_lsq,
     ransac_ego_velocity,
     solve_ego_velocity,
 )
 from radarcal.errors import (
+    CalibrationError,
     DegenerateGeometryError,
     EmptyInputError,
     InsufficientDataError,
     InvalidArgumentError,
     NoConsensusError,
+)
+from radarcal.simulator import (
+    NoiseSpec,
+    TrajectoryProfile,
+    generate_trajectory,
+    sample_landmarks,
+    simulate_scans,
 )
 
 
@@ -249,3 +260,111 @@ def test_ransac_config_validation():
         RansacConfig(inlier_fraction_threshold=1.5)
     with pytest.raises(InvalidArgumentError):
         RansacConfig(max_iterations=0)
+
+
+# ---------------------------------------------------------------------------
+# RANSAC against a one-hypothesis-at-a-time reference
+
+
+def reference_ransac(scan, config):
+    """The per-hypothesis loop that scores one draw at a time, kept as the
+    reference for the array scoring in ``ransac_ego_velocity``."""
+    n = len(scan.detections)
+    system = build_lsq(scan)
+    A, y = system.A, system.y
+    rng = np.random.default_rng(_scan_seed(config.rng_seed, scan.timestamp))
+    best_mask = None
+    best_count = 0
+    best_rms = math.inf
+    for _ in range(config.max_iterations):
+        i, j = rng.choice(n, size=RANSAC_MIN_SAMPLE, replace=False)
+        As = A[[i, j]]
+        det = As[0, 0] * As[1, 1] - As[0, 1] * As[1, 0]
+        if abs(det) < 1e-12:
+            continue
+        v = np.array(
+            [
+                (As[1, 1] * y[i] - As[0, 1] * y[j]) / det,
+                (As[0, 0] * y[j] - As[1, 0] * y[i]) / det,
+            ]
+        )
+        resid = np.abs(y - A @ v)
+        mask = resid <= config.residual_threshold
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        rms = float(np.sqrt(np.mean(resid[mask] ** 2)))
+        if count > best_count or (count == best_count and rms < best_rms):
+            best_count = count
+            best_rms = rms
+            best_mask = mask
+    if best_mask is None or best_count < max(
+        MIN_DETECTIONS, math.ceil(config.inlier_fraction_threshold * n)
+    ):
+        raise NoConsensusError("no consensus")
+    refit = solve_ego_velocity(LsqSystem(A=A[best_mask], y=y[best_mask]), scan.timestamp)
+    refit.n_total = n
+    refit.n_inliers = best_count
+    refit.inlier_mask = best_mask
+    return refit
+
+
+def assert_matches_reference(scan, config):
+    """Same estimate bit for bit, or the same exception type; returns it."""
+    try:
+        expected = reference_ransac(scan, config)
+    except CalibrationError as exc:
+        with pytest.raises(CalibrationError) as got:
+            ransac_ego_velocity(scan, config)
+        assert type(got.value) is type(exc)
+        return exc
+    got = ransac_ego_velocity(scan, config)
+    np.testing.assert_array_equal(got.velocity, expected.velocity)
+    np.testing.assert_array_equal(got.covariance, expected.covariance)
+    np.testing.assert_array_equal(got.inlier_mask, expected.inlier_mask)
+    assert (got.n_inliers, got.n_total) == (expected.n_inliers, expected.n_total)
+    return got
+
+
+def test_ransac_matches_reference_on_simulated_scans():
+    truth = generate_trajectory(TrajectoryProfile(kind="periodic_default", duration=10.0))
+    landmarks = sample_landmarks(truth, n=60, rng_seed=41)
+    noise = NoiseSpec(sigma_r=0.0, detection_sigma=0.01, outlier_fraction=0.1)
+    sim = simulate_scans(truth, landmarks, noise, rng_seed=42)
+    scans = sim.scans["a"] + sim.scans["b"]
+    assert len(scans) >= 200
+    outcomes = [assert_matches_reference(scan, RansacConfig(rng_seed=43)) for scan in scans]
+    assert not any(isinstance(o, CalibrationError) for o in outcomes)
+
+
+def test_ransac_matches_reference_with_a_parallel_pair():
+    # detections 0 and 1 share an azimuth: drawing that pair gives det = 0
+    v = np.array([0.8, -0.3])
+    scan = synthetic_scan(v, [0.3, 0.3, -0.5, 0.8], noise=[0.0, 0.002, -0.001, 0.001])
+    est = assert_matches_reference(scan, RansacConfig(rng_seed=5))
+    assert est.n_inliers == 4
+
+
+def test_ransac_equal_counts_go_to_the_later_lower_rms_hypothesis():
+    # Two groups of three, each consistent with its own velocity: {0, 1, 2}
+    # with 1 mm/s range-rate offsets, {3, 4, 5} with 4 mm/s.  Every pair
+    # within a group has 3 inliers; pairs across the groups have 2.
+    az = np.array([-0.9, 0.0, 0.9, -0.6, 0.3, 1.2])
+    v = np.array([[1.0, 0.5]] * 3 + [[-0.8, 1.5]] * 3)
+    rr = -(np.sin(az) * v[:, 0] + np.cos(az) * v[:, 1])
+    rr += np.array([0.001, -0.001, 0.001, 0.004, -0.004, 0.004])
+    scan = scan_from_arrays(az, rr)
+    config = RansacConfig(rng_seed=0)
+    first = np.random.default_rng(_scan_seed(config.rng_seed, scan.timestamp)).choice(
+        6, size=RANSAC_MIN_SAMPLE, replace=False
+    )
+    assert set(first) <= {3, 4, 5}  # the first draw is a 3-inlier, higher-RMS hypothesis
+    est = assert_matches_reference(scan, config)
+    np.testing.assert_array_equal(est.inlier_mask, [True, True, True, False, False, False])
+
+
+def test_ransac_matches_reference_when_all_detections_are_outliers():
+    rng = np.random.default_rng(44)
+    scan = scan_from_arrays(rng.uniform(-1.0, 1.0, size=12), rng.uniform(-5.0, 5.0, size=12))
+    exc = assert_matches_reference(scan, RansacConfig(rng_seed=6))
+    assert isinstance(exc, NoConsensusError)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -346,6 +347,16 @@ def test_config_values_pass_the_dataclass_checks():
     # inf stays legal where the field allows it
     cfg = parse_config("# radarcal config 1\nsolver.restart_cost_ratio = inf\n")
     assert cfg.solver.restart_cost_ratio == math.inf
+
+
+@pytest.mark.parametrize("key", sorted(
+    k for k, (section, _, typ) in _CONFIG_FIELDS.items() if typ is float and section != "experiment"
+))
+def test_option_dataclasses_refuse_nan_built_in_code(key):
+    section, attr, _ = _CONFIG_FIELDS[key]
+    cfg = PipelineConfig()
+    with pytest.raises(InvalidArgumentError):
+        dataclasses.replace(cfg if section is None else getattr(cfg, section), **{attr: math.nan})
 
 
 @pytest.mark.parametrize("order", [("lambda0", "lambda_max"), ("lambda_max", "lambda0")])
