@@ -288,8 +288,7 @@ def init_translation_axis(
     bu = b[usable]
     # b points along wedge(1) @ axis; undo the quarter turn and fold to [0, pi).
     raw = np.arctan2(-bu[:, 0], bu[:, 1])
-    folded = np.array([wrap_axis(a) for a in raw])
-    return circular_median(folded, math.pi)
+    return circular_median(wrap_axis(raw), math.pi)
 
 
 def _motion_from_data(data: _PairData, theta_t: float, theta_ba: float):
@@ -331,8 +330,7 @@ def _dominant_motion_axis(ha: np.ndarray) -> float:
     fallback when the data contain no rotational signal (any axis fits
     equally badly then, and the motion direction is the worst case)."""
     angles = np.arctan2(ha[:, 1], ha[:, 0])
-    folded = np.array([wrap_axis(a) for a in angles])
-    return circular_median(folded, math.pi)
+    return circular_median(wrap_axis(angles), math.pi)
 
 
 @dataclass

@@ -197,9 +197,9 @@ def cmd_simulate(args) -> int:
     if args.jobs < 1:
         raise InvalidArgumentError("--jobs must be >= 1")
     noises = [NoiseSpec(sigma, args.detection_sigma, args.outlier_fraction) for sigma in args.sigma]
-    out = _outdir(args)
     cfg = pipeline_io.PipelineConfig()
     cfg.experiment = ExperimentMatrix(args.trials, tuple(args.sigma), tuple(args.duration))
+    out = _outdir(args)
     _write_resolved_config(
         cfg,
         out,

@@ -179,15 +179,64 @@ def _scan_seed(rng_seed: int, timestamp: float) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(rng_seed) & 0xFFFFFFFFFFFFFFFF, bits))
 
 
+def _choice_pairs(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """``k`` two-point samples of ``range(n)`` as a (2, k) array, one
+    ``rng.choice(n, 2, replace=False)`` per column: the reference draw."""
+    return np.array(
+        [rng.choice(n, size=RANSAC_MIN_SAMPLE, replace=False) for _ in range(k)]
+    ).T
+
+
+def _decode_choice_pairs(u: np.ndarray, n: int) -> np.ndarray | None:
+    """The (2, k) samples ``_choice_pairs`` draws from the same stream, decoded
+    from the generator's raw 32-bit output ``u`` (three values per sample).
+
+    numpy's ``Generator.choice(n, 2, replace=False)`` runs Floyd's algorithm
+    and then shuffles the two indices: three draws, each bounded by Lemire's
+    method, ``(u * bound) >> 32``, with bounds ``n - 1``, ``n`` and 2.  Floyd
+    takes ``n - 1`` when its second draw repeats the first, and the shuffle
+    swaps the pair when its draw is 0.  Returns None when a draw lands in
+    Lemire's rejection zone (low 32 bits of ``u * bound`` below
+    ``(2**32 - bound) % bound``, odds about n / 2**32): numpy would draw again
+    there, and ``u`` no longer lines up with its samples.
+    """
+    bounds = (n - 1, n, 2)
+    m = u.reshape(-1, 3) * np.array(bounds, dtype=np.uint64)
+    if np.any((m & 0xFFFFFFFF) < np.array([(2**32 - b) % b for b in bounds], dtype=np.uint64)):
+        return None
+    first, second, shuffle = (m >> 32).astype(np.intp).T
+    second = np.where(second == first, n - 1, second)
+    swap = shuffle == 0
+    return np.stack([np.where(swap, second, first), np.where(swap, first, second)])
+
+
+def _hypothesis_pairs(seed: np.random.SeedSequence, n: int, k: int) -> np.ndarray:
+    """``_choice_pairs`` on a generator seeded by ``seed``, from one raw draw.
+
+    On a Lemire rejection the generator is made afresh and the reference
+    draw runs, so the samples never depend on which path produced them.
+    """
+    u = np.random.default_rng(seed).integers(0, 2**32, size=3 * k, dtype=np.uint32)
+    pairs = _decode_choice_pairs(u, n)
+    if pairs is None:
+        pairs = _choice_pairs(np.random.default_rng(seed), n, k)
+    return pairs
+
+
 def ransac_ego_velocity(scan: RadarScan, config: RansacConfig) -> EgoVelocityEstimate:
     """Robust ego-velocity for one scan.
 
-    ``max_iterations`` two-point hypotheses are drawn one ``rng.choice`` at a
-    time, then scored all at once: most inliers wins, ties go to the strictly
-    lower inlier residual RMS, then to the earliest draw.  The winner is refit
-    by least squares over its whole consensus set.  Raises NoConsensusError
-    when the best consensus set is below the configured fraction (or too
-    small to refit).
+    ``max_iterations`` two-point hypotheses are drawn in one generator call
+    and decoded into exactly the samples that as many
+    ``Generator.choice(n, 2, replace=False)`` calls would give.  The decoding
+    relies on numpy's Floyd and Lemire internals, which
+    ``tests/test_ego_velocity.py`` pins against ``rng.choice``; on a Lemire
+    rejection the scan falls back on the ``rng.choice`` calls themselves.
+    The hypotheses are scored all at once: most inliers wins, ties go to the
+    strictly lower inlier residual RMS, then to the earliest draw.  The
+    winner is refit by least squares over its whole consensus set.  Raises
+    NoConsensusError when the best consensus set is below the configured
+    fraction (or too small to refit).
     """
     n = len(scan.detections)
     if n < MIN_DETECTIONS:
@@ -197,10 +246,7 @@ def ransac_ego_velocity(scan: RadarScan, config: RansacConfig) -> EgoVelocityEst
     system = build_lsq(scan)
     A, y = system.A, system.y
 
-    rng = np.random.default_rng(_scan_seed(config.rng_seed, scan.timestamp))
-    i, j = np.array(
-        [rng.choice(n, size=RANSAC_MIN_SAMPLE, replace=False) for _ in range(config.max_iterations)]
-    ).T
+    i, j = _hypothesis_pairs(_scan_seed(config.rng_seed, scan.timestamp), n, config.max_iterations)
     det = A[i, 0] * A[j, 1] - A[i, 1] * A[j, 0]
     ok = np.abs(det) >= 1e-12  # a parallel line-of-sight pair constrains only one axis
     i, j, det = i[ok], j[ok], det[ok]

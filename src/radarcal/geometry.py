@@ -49,23 +49,24 @@ def wedge(r: float) -> Mat2:
     return np.array([[0.0, -r], [r, 0.0]])
 
 
-def wrap_axis(theta: Angle) -> Angle:
-    """Map an axis angle to the canonical representative in ``[0, pi)``.
+def wrap_axis(theta: Angle | np.ndarray) -> Angle | np.ndarray:
+    """Map axis angles to the canonical representative in ``[0, pi)``.
 
     Axis angles are modulo pi because a direction and its antipode span the
     same line.  Idempotent: values already in range are returned unchanged.
+    Takes a float (and returns a float) or an array (and returns an array).
     """
-    if not math.isfinite(theta):
+    x = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(x)):
         raise InvalidArgumentError(f"axis angle must be finite, got {theta!r}")
-    k = math.floor(theta / math.pi)
-    out = theta - k * math.pi
+    # ``+ 0.0`` makes a floor of -0.0 count as +0.0, as an integer floor
+    # would, so that -0.0 maps to -0.0.
+    out = x - (np.floor(x / math.pi) + 0.0) * math.pi
     # Rounding of theta / pi can leave out a hair outside [0, pi); so does a
     # tiny negative theta, whose quotient underflows to -0.0.
-    if out >= math.pi:
-        out -= math.pi
-    if out < 0.0:
-        out = 0.0
-    return out
+    out = np.where(out >= math.pi, out - math.pi, out)
+    out = np.where(out < 0.0, 0.0, out)
+    return float(out) if out.ndim == 0 else out
 
 
 def wrap_to_pi(theta: Angle) -> Angle:

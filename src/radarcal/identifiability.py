@@ -152,7 +152,7 @@ def excitation_report(
     aligned_flag = bool(np.mean(aligned) >= thr.flag_fraction)
     if not aligned_flag and np.count_nonzero(moving) >= 2:
         dirs = np.arctan2(data.ha[moving, 1], data.ha[moving, 0])
-        folded = np.array([wrap_axis(a) for a in dirs])
+        folded = wrap_axis(dirs)
         center = circular_median(folded, math.pi)
         dev = np.abs(folded - center)
         dev = np.minimum(dev, math.pi - dev)

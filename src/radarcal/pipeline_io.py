@@ -79,6 +79,15 @@ class ExperimentMatrix:
     sigmas: tuple = (0.05, 0.1, 0.2)
     durations: tuple = (15.0, 120.0)
 
+    def __post_init__(self):
+        # Written as ``not (...)`` so that NaN fails every check.
+        if not self.trials >= 1:
+            raise InvalidArgumentError(f"trials must be >= 1, got {self.trials}")
+        if not (self.sigmas and all(0.0 <= s < math.inf for s in self.sigmas)):
+            raise InvalidArgumentError(f"sigmas must be finite and >= 0, got {self.sigmas}")
+        if not (self.durations and all(0.0 < d < math.inf for d in self.durations)):
+            raise InvalidArgumentError(f"durations must be finite and > 0, got {self.durations}")
+
 
 @dataclass
 class PipelineConfig:

@@ -47,7 +47,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run("simulate", "--out", tmp_path / "s", "--translation", "1;2") == cli.EXIT_USAGE
     assert run("simulate", "--out", tmp_path / "s", "--jobs", 0) == cli.EXIT_USAGE
     assert run("simulate", "--out", tmp_path / "s", "--sigma", 0.1, -1) == cli.EXIT_USAGE
-    assert not (tmp_path / "s").exists()  # bad noise levels fail before anything is written
+    assert run("simulate", "--out", tmp_path / "s", "--trials", -3, "--duration", 15) == cli.EXIT_USAGE
+    assert run("simulate", "--out", tmp_path / "s", "--duration", 15, 0) == cli.EXIT_USAGE
+    assert run("simulate", "--out", tmp_path / "s", "--sigma", "nan") == cli.EXIT_USAGE
+    assert run("simulate", "--out", tmp_path / "s", "--sigma", "inf") == cli.EXIT_USAGE
+    assert not (tmp_path / "s").exists()  # a bad sweep fails before anything is written
     capsys.readouterr()
 
     # Command-line overrides pass the same checks as config-file values.
@@ -107,6 +111,9 @@ def constant_turn_pairs(tmp_path_factory):
     "excitation.flag_fraction = nan", "excitation.align_tol = nan",
     "solver.cov_floor = -1", "solver.cov_floor = inf", "solver.gradient_tol = -1",
     "excitation.det_rel_tol = -1", "min_speed = -1", "solver.max_degenerate_fraction = inf",
+    "experiment.trials = -3", "experiment.trials = 0", "experiment.sigmas = -1",
+    "experiment.sigmas = 0.1,inf", "experiment.sigmas = ,", "experiment.durations = 0",
+    "experiment.durations = 15,-inf",
 ])
 def test_bad_config_values_exit_3(tmp_path, constant_turn_pairs, line, capsys):
     cfg = tmp_path / "bad.txt"

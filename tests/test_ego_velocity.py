@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from radarcal import ego_velocity
 from radarcal.ego_velocity import (
     MIN_DETECTIONS,
     RANSAC_MIN_SAMPLE,
@@ -11,6 +12,8 @@ from radarcal.ego_velocity import (
     LsqSystem,
     RadarScan,
     RansacConfig,
+    _decode_choice_pairs,
+    _hypothesis_pairs,
     _scan_seed,
     build_lsq,
     ransac_ego_velocity,
@@ -368,3 +371,85 @@ def test_ransac_matches_reference_when_all_detections_are_outliers():
     scan = scan_from_arrays(rng.uniform(-1.0, 1.0, size=12), rng.uniform(-5.0, 5.0, size=12))
     exc = assert_matches_reference(scan, RansacConfig(rng_seed=6))
     assert isinstance(exc, NoConsensusError)
+
+
+# ---------------------------------------------------------------------------
+# The batched draw against rng.choice
+
+
+def choice_pairs(seed, n, k):
+    """The (2, k) samples of ``k`` calls ``rng.choice(n, 2, replace=False)``."""
+    rng = np.random.default_rng(seed)
+    return np.array([rng.choice(n, size=RANSAC_MIN_SAMPLE, replace=False) for _ in range(k)]).T
+
+
+def raw_draws(seed, k):
+    return np.random.default_rng(seed).integers(0, 2**32, size=3 * k, dtype=np.uint32)
+
+
+# n or n - 1 a power of two (Lemire threshold 0), and large n.
+EDGE_SIZES = [m for p in (2, 3, 4, 6, 10, 16, 20) for m in (2**p, 2**p + 1)] + [
+    10_001, 50_000, 1_000_003, 2**31 - 1, 2**31, 2**32,
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 43, 2024])
+def test_batched_draw_matches_rng_choice(seed):
+    # Pins numpy's Generator.choice internals: a numpy whose choice draws
+    # differently fails here instead of silently changing the samples.
+    for n in [*range(3, 201), *EDGE_SIZES]:
+        key = np.random.SeedSequence((seed, n))
+        got = _decode_choice_pairs(raw_draws(key, 100), n)
+        assert got is not None, n
+        np.testing.assert_array_equal(got, choice_pairs(key, n, 100), err_msg=f"n={n}")
+
+
+@pytest.mark.parametrize("n", [2**31 + 1, 3 * 2**30 + 1])
+def test_batched_draw_rejects_exactly_where_rng_choice_draws_again(n):
+    # At these n Lemire's method rejects a quarter to a half of the draws.
+    # rng.choice consumes more than three draws exactly when one of them is
+    # rejected, and then the draw after its third is no longer u[3].
+    rejected = 0
+    for s in range(200):
+        key = np.random.SeedSequence((s, n))
+        u = np.random.default_rng(key).integers(0, 2**32, size=4, dtype=np.uint32)
+        rng = np.random.default_rng(key)
+        sample = rng.choice(n, size=RANSAC_MIN_SAMPLE, replace=False)
+        drew_three = rng.integers(0, 2**32, dtype=np.uint32) == u[3]
+        got = _decode_choice_pairs(u[:3], n)
+        assert (got is not None) == drew_three
+        if got is None:
+            rejected += 1
+        else:
+            np.testing.assert_array_equal(got[:, 0], sample)
+    assert 20 <= rejected <= 180
+
+
+def test_a_rejected_draw_falls_back_on_rng_choice(monkeypatch):
+    n, k = 6, 100  # bounds 5 and 6 are not powers of two, so a zero draw is rejected
+    key = np.random.SeedSequence(3)
+    u = raw_draws(key, k)
+    assert _decode_choice_pairs(u, n) is not None
+    for pos in (0, 4, 3 * k - 2):  # a first or second Floyd draw
+        crafted = u.copy()
+        crafted[pos] = 0
+        assert _decode_choice_pairs(crafted, n) is None
+    crafted = u.copy()
+    crafted[2] = 0  # the shuffle's bound, 2, has no rejection zone
+    assert _decode_choice_pairs(crafted, n) is not None
+
+    decode = ego_velocity._decode_choice_pairs
+
+    def decode_with_a_rejection(u, n):
+        u = u.copy()
+        u[4] = 0
+        return decode(u, n)
+
+    monkeypatch.setattr(ego_velocity, "_decode_choice_pairs", decode_with_a_rejection)
+    np.testing.assert_array_equal(_hypothesis_pairs(key, n, k), choice_pairs(key, n, k))
+    monkeypatch.undo()
+
+    # A real rejection: at n = 2**31 + 1 about half of the second draws fall in the zone.
+    n = 2**31 + 1
+    assert _decode_choice_pairs(raw_draws(key, k), n) is None
+    np.testing.assert_array_equal(_hypothesis_pairs(key, n, k), choice_pairs(key, n, k))

@@ -74,6 +74,40 @@ def test_wrap_axis_tiny_negative_maps_to_zero():
         assert math.copysign(1.0, wrap_axis(theta)) == 1.0
 
 
+def scalar_wrap_axis(theta):
+    """The per-float fold that the array ``wrap_axis`` must reproduce bit for bit."""
+    k = math.floor(theta / math.pi)
+    out = theta - k * math.pi
+    if out >= math.pi:
+        out -= math.pi
+    if out < 0.0:
+        out = 0.0
+    return out
+
+
+def test_wrap_axis_folds_arrays_as_it_folds_floats():
+    specials = [
+        0.0, -0.0, -1e-300, -5e-17, -5e-324, 5e-324, math.pi, -math.pi,
+        math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0), -math.nextafter(math.pi, 0.0),
+        1e300, -1e300, 1.7e308, -1.7e308, 1e16, 2.0**53,
+    ] + [k * math.pi for k in range(-40, 41)]
+    rng = np.random.default_rng(0)
+    values = np.concatenate([specials, rng.uniform(-50, 50, 2000), rng.normal(0, 1e6, 500)])
+    expected = np.array([scalar_wrap_axis(float(v)) for v in values])
+    folded = wrap_axis(values)
+    # array_equal calls -0.0 and +0.0 equal, so the sign is compared as well.
+    np.testing.assert_array_equal(folded, expected)
+    np.testing.assert_array_equal(np.signbit(folded), np.signbit(expected))
+    for v, e in zip(values, expected):
+        w = wrap_axis(float(v))
+        assert type(w) is float
+        assert w == e and math.copysign(1.0, w) == math.copysign(1.0, e)
+    assert math.copysign(1.0, wrap_axis(-0.0)) == -1.0
+    assert wrap_axis(np.empty(0)).shape == (0,)
+    with pytest.raises(InvalidArgumentError):
+        wrap_axis(np.array([0.1, math.nan]))
+
+
 @given(finite_angles)
 def test_wrap_to_pi_range(theta):
     w = wrap_to_pi(theta)
