@@ -363,7 +363,14 @@ def assess_excitation(
     report at the guess raises a flag or finds more than
     ``max_degenerate_fraction`` of the timesteps degenerate.
     """
-    from .identifiability import excitation_report  # deferred: identifiability uses this module
+    return _assess_excitation(pairs, options)[0]
+
+
+def _assess_excitation(pairs, options: SolverOptions | None):
+    """:func:`assess_excitation`, plus the motion fit at the guess that the
+    excitation report made (``None`` below 3 pairs), so that LM starts from
+    it instead of fitting again."""
+    from .identifiability import _excitation_report  # deferred: identifiability uses this module
 
     opts = options or SolverOptions()
     data = _pair_data(pairs, opts.cov_floor)
@@ -377,9 +384,9 @@ def assess_excitation(
     guess = Extrinsics(theta_t=theta_t, theta_ba=theta_ba)
     if data.n < 3:
         reasons = [f"excitation check needs at least 3 pairs, got {data.n}"]
-        return ExcitationVerdict(guess=guess, report=None, reasons=reasons)
+        return ExcitationVerdict(guess=guess, report=None, reasons=reasons), None
 
-    report = excitation_report(data, guess, opts.excitation_thresholds)
+    report, motion = _excitation_report(data, guess, opts.excitation_thresholds)
     if report.fraction_degenerate > opts.max_degenerate_fraction:
         reasons.append(
             f"degenerate fraction {report.fraction_degenerate:.3f} "
@@ -387,7 +394,7 @@ def assess_excitation(
         )
     if report.flags:
         reasons.append("flags: " + ", ".join(report.flags))
-    return ExcitationVerdict(guess=guess, report=report, reasons=reasons)
+    return ExcitationVerdict(guess=guess, report=report, reasons=reasons), motion
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +661,12 @@ class _LmRun:
     termination: str
 
 
-def _run_lm(data: _PairData, theta_t0: float, theta_ba0: float, opts: SolverOptions) -> _LmRun:
-    v, w = _motion_from_data(data, theta_t0, theta_ba0)
+def _run_lm(
+    data: _PairData, theta_t0: float, theta_ba0: float, opts: SolverOptions, motion=None
+) -> _LmRun:
+    """Descend from the given angles; ``motion`` is the fit ``(v, w)`` of
+    :func:`_motion_from_data` at them, when the caller already has it."""
+    v, w = motion if motion is not None else _motion_from_data(data, theta_t0, theta_ba0)
     tht = float(theta_t0)
     thb = float(theta_ba0)
 
@@ -769,11 +780,11 @@ def solve_lm(pairs: list[MeasurementPair], options: SolverOptions | None = None)
     if M < 2:
         raise InsufficientDataError(f"need at least 2 pairs, got {M}")
 
-    verdict = assess_excitation(data, opts)
+    verdict, motion = _assess_excitation(data, opts)
     if opts.enforce_excitation:
         verdict.raise_if_refused()
 
-    run = _run_lm(data, verdict.guess.theta_t, verdict.guess.theta_ba, opts)
+    run = _run_lm(data, verdict.guess.theta_t, verdict.guess.theta_ba, opts, motion)
 
     # The closed-form guesses can start the descent in the wrong basin: the
     # rotation guess assumes the lever barely perturbs the speeds (false for

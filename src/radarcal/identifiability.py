@@ -111,8 +111,13 @@ def excitation_report(
     (``COV_FLOOR`` for a list); the angular acceleration is their central
     finite difference (one-sided at the ends).  Needs at least three pairs.
     """
+    return _excitation_report(_pair_data(pairs), extrinsics_guess, thresholds)[0]
+
+
+def _excitation_report(data, extrinsics_guess: Extrinsics, thresholds):
+    """:func:`excitation_report` of unpacked pairs, plus the motion fit ``(v, w)``
+    at the guess, from which the solver starts its descent."""
     thr = thresholds or ExcitationThresholds()
-    data = _pair_data(pairs)
     if data.n < 3:
         raise InsufficientDataError(
             f"excitation analysis needs >= 3 pairs, got {data.n}"
@@ -121,7 +126,7 @@ def excitation_report(
         raise InvalidArgumentError("pair timestamps must be strictly increasing")
 
     theta_t = extrinsics_guess.theta_t
-    _, w = _motion_from_data(data, theta_t, extrinsics_guess.theta_ba)
+    v, w = _motion_from_data(data, theta_t, extrinsics_guess.theta_ba)
     alpha = np.gradient(w, data.timestamps)
 
     speeds = np.hypot(data.ha[:, 0], data.ha[:, 1])
@@ -169,4 +174,4 @@ def excitation_report(
         det_threshold=float(det_threshold),
         n_samples=data.n,
         flags=flags,
-    )
+    ), (v, w)

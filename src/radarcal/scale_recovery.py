@@ -31,6 +31,7 @@ DEFAULT_MIN_RATE = 0.1   # rad/s, reference rates below this are unreliable divi
 DEFAULT_HEADING_SIGMA = 0.01  # rad, heading noise assumed by the pose smoother
 DEFAULT_JERK_PSD = 0.5        # rad^2/s^5, angular jerk density of the pose smoother
 MIN_SAMPLES = 10
+_GAIN_BLOCK = 4096  # smoother steps whose RTS gains are formed in one stacked call
 
 
 @dataclass
@@ -67,52 +68,88 @@ def smooth_angular_rate_from_poses(
 ) -> AngularRateSeries:
     """Angular rate series from noisy heading samples.
 
-    Headings are unwrapped, then smoothed with a fixed-interval two-pass
-    estimator over the state (heading, rate, acceleration) driven by white
+    Headings are unwrapped, then smoothed with a Kalman filter and a
+    Rauch-Tung-Striebel backward pass over the state (heading, rate,
+    acceleration) of a constant angular acceleration model driven by white
     jerk of power spectral density ``jerk_psd``; the returned series is the
     smoothed rate component at the input timestamps.
+
+    The filter runs one sample at a time, but builds the transition and
+    noise matrices once per distinct time step (a fixed-rate track has only
+    a handful) and forms the backward gains in stacked blocks of steps.
+    Every matrix product keeps the shape and operand layout of the plain
+    per-sample recursion, so the output is bit-identical to it.
     """
     t = np.asarray(timestamps, dtype=float)
     z = np.asarray(headings, dtype=float)
     if t.shape != z.shape or t.ndim != 1 or t.size < 3:
         raise InvalidArgumentError("need >= 3 heading samples with matching timestamps")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(z))):
+        raise InvalidArgumentError("heading timestamps and headings must be finite")
     if np.any(np.diff(t) <= 0):
         raise InvalidArgumentError("heading timestamps must be strictly increasing")
-    if heading_sigma <= 0 or jerk_psd <= 0:
-        raise InvalidArgumentError("heading_sigma and jerk_psd must be positive")
+    # Written as ``not (...)`` so that NaN fails.  The filter divides by the
+    # heading variance, so its square must neither underflow nor overflow.
+    if not (heading_sigma > 0 and 0 < heading_sigma * heading_sigma < math.inf):
+        raise InvalidArgumentError(
+            f"heading_sigma must be positive with a positive, finite square, got {heading_sigma!r}"
+        )
+    if not (0 < jerk_psd < math.inf):
+        raise InvalidArgumentError(f"jerk_psd must be positive and finite, got {jerk_psd!r}")
+    r = heading_sigma ** 2
     z = np.unwrap(z)
     n = t.size
-    r = heading_sigma ** 2
     hrow = np.array([1.0, 0.0, 0.0])
+    eye = np.eye(3)
+
+    # Scalar powers per step: numpy's array power rounds differently.
+    steps, step_of = np.unique(np.diff(t), return_inverse=True)
+    FQ = [
+        (
+            np.array([[1.0, dt, 0.5 * dt * dt], [0.0, 1.0, dt], [0.0, 0.0, 1.0]]),
+            jerk_psd * np.array(
+                [
+                    [dt ** 5 / 20.0, dt ** 4 / 8.0, dt ** 3 / 6.0],
+                    [dt ** 4 / 8.0, dt ** 3 / 3.0, dt ** 2 / 2.0],
+                    [dt ** 3 / 6.0, dt ** 2 / 2.0, dt],
+                ]
+            ),
+        )
+        for dt in steps
+    ]
 
     x = np.array([z[0], (z[1] - z[0]) / (t[1] - t[0]), 0.0])
     P = np.diag([r, 1.0, 1.0])
 
     xs_pred = np.zeros((n, 3))
     xs_filt = np.zeros((n, 3))
-    gains = np.zeros((n - 1, 3, 3))  # RTS smoother gains, filled as the filter runs
+    # Step i runs from sample i to i + 1.  gains[i] holds the filtered
+    # covariance at sample i until its block of steps is filtered; then the
+    # block's RTS gains P_filt F^T inv(P_pred) overwrite it in one stacked
+    # call, which makes the same per-matrix BLAS and LAPACK calls as the
+    # 3x3 products.  P_pred holds one block's predicted covariances.
+    gains = np.empty((n - 1, 3, 3))
+    P_pred = np.empty((min(n - 1, _GAIN_BLOCK), 3, 3))
+    F_stack = np.stack([F for F, _ in FQ])
 
     for i in range(n):
         if i == 0:
             xp, Pp = x, P
         else:
-            dt = t[i] - t[i - 1]
-            F = np.array([[1.0, dt, 0.5 * dt * dt], [0.0, 1.0, dt], [0.0, 0.0, 1.0]])
-            Q = jerk_psd * np.array(
-                [
-                    [dt ** 5 / 20.0, dt ** 4 / 8.0, dt ** 3 / 6.0],
-                    [dt ** 4 / 8.0, dt ** 3 / 3.0, dt ** 2 / 2.0],
-                    [dt ** 3 / 6.0, dt ** 2 / 2.0, dt],
-                ]
-            )
+            F, Q = FQ[step_of[i - 1]]
             xp = F @ x
             Pp = F @ P @ F.T + Q
-            gains[i - 1] = P @ F.T @ np.linalg.inv(Pp)
+            gains[i - 1] = P
+            P_pred[(i - 1) % _GAIN_BLOCK] = Pp
+            if i % _GAIN_BLOCK == 0 or i == n - 1:
+                lo = (i - 1) // _GAIN_BLOCK * _GAIN_BLOCK
+                F_T = F_stack[step_of[lo:i]].transpose(0, 2, 1)
+                gains[lo:i] = gains[lo:i] @ F_T @ np.linalg.inv(P_pred[: i - lo])
         innov = z[i] - hrow @ xp
         s = float(hrow @ Pp @ hrow) + r
         k = (Pp @ hrow) / s
         x = xp + k * innov
-        P = (np.eye(3) - np.outer(k, hrow)) @ Pp
+        P = (eye - k[:, None] * hrow) @ Pp
         xs_pred[i], xs_filt[i] = xp, x
 
     xs = xs_filt.copy()

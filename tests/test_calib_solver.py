@@ -403,6 +403,24 @@ def test_solve_converts_pairs_once(monkeypatch):
     assert list_calls == [len(pairs)]
 
 
+@pytest.mark.parametrize("duration", [15.0, 5.0])  # M = 150 runs one LM start, M = 50 two
+def test_solve_fits_the_motion_once_per_start(monkeypatch, duration):
+    starts = []
+    real = calib_solver._motion_from_data
+
+    def counting(data, theta_t, theta_ba):
+        starts.append((theta_t, theta_ba))
+        return real(data, theta_t, theta_ba)
+
+    _, pairs = periodic_pairs(sigma=0.05, duration=duration)
+    guess = assess_excitation(pairs).guess
+    monkeypatch.setattr(calib_solver, "_motion_from_data", counting)
+    monkeypatch.setattr(identifiability, "_motion_from_data", counting)
+    solve_lm(pairs)
+    assert starts[0] == (guess.theta_t, guess.theta_ba)
+    assert len(starts) == len(set(starts)) == (1 if len(pairs) > 60 else 2)
+
+
 def test_excitation_check_uses_solver_cov_floor():
     rng = np.random.default_rng(5)
     _, pairs = periodic_pairs(sigma=0.1, seed=4)

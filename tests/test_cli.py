@@ -68,6 +68,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                "--out", tmp_path / "sc", "--min-rate", "nan")
     assert code == cli.EXIT_USAGE
     assert "min_rate" in capsys.readouterr().err
+    poses = tmp_path / "poses.csv"
+    poses.write_text("t,heading\n" + "".join(f"{k / 50},{0.5 * k / 50}\n" for k in range(750)))
+    bad_smoother = [("--heading-sigma", "nan"), ("--heading-sigma", "inf"),
+                    ("--heading-sigma", "1e-300"), ("--jerk-psd", "nan"), ("--jerk-psd", "inf")]
+    for flag, value in bad_smoother:
+        code = run("recover-scale", "--report", tmp_path / "cal" / "report.json", "--poses", poses,
+                   "--out", tmp_path / "sc", flag, value)
+        assert code == cli.EXIT_USAGE
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
 def test_cli_defaults_are_the_library_defaults():

@@ -189,20 +189,44 @@ def test_circular_median_minimizes_summed_deviation(angles):
     assert np.minimum(dists, math.tau - dists).min() < 1e-9
 
 
+def pairwise_median(arr, modulus):
+    """Reference: the full M x M deviation matrix, summed along its rows."""
+    canon = np.mod(arr, modulus)
+    diffs = np.abs(canon[:, None] - canon[None, :])
+    score = np.minimum(diffs, modulus - diffs).sum(axis=1)
+    return float(np.min(canon[score == score.min()]))
+
+
 @pytest.mark.parametrize("modulus", [math.pi, math.tau])
 def test_circular_median_matches_pairwise_matrix(modulus):
-    # Reference: the full M x M deviation matrix, summed along its rows.
     rng = np.random.default_rng(1)
-    for m in (1, 2, 3, 10, 101, 500):
+    for m in (1, 2, 3, 4, 10, 101, 500, 1999, 2000):
         for decimals in (None, 1):
             arr = rng.uniform(-10.0, 10.0, m)
             if decimals is not None:
                 arr = np.round(arr, decimals)   # many exact ties
-            canon = np.mod(arr, modulus)
-            diffs = np.abs(canon[:, None] - canon[None, :])
-            score = np.minimum(diffs, modulus - diffs).sum(axis=1)
-            expected = float(np.min(canon[score == score.min()]))
-            assert circular_median(arr, modulus) == expected
+            assert circular_median(arr, modulus) == pairwise_median(arr, modulus)
+
+
+@pytest.mark.parametrize("modulus", [math.pi, math.tau])
+def test_circular_median_matches_pairwise_matrix_on_ties_and_seams(modulus):
+    rng = np.random.default_rng(2)
+    cases = []
+    for m in (2, 7, 64, 501, 1500):
+        # Evenly spaced angles score alike up to rounding, so every sample
+        # is a candidate that the exact sums must decide between.
+        cases.append(np.arange(m) * (modulus / m) + rng.uniform(-1.0, 1.0))
+        cases.append(np.repeat(rng.uniform(-10.0, 10.0, 3), m))           # duplicates only
+        cases.append(rng.choice(rng.uniform(-10.0, 10.0, 5), m))          # a few repeated values
+        cases.append(rng.vonmises(rng.uniform(-3.0, 3.0), 4.0, m) * modulus / math.tau)
+    for m in (2, 9, 300):
+        # Within ulps of 0 and of the modulus: np.mod maps some to the
+        # modulus itself, the same point as 0 on the circle.
+        tiny = np.nextafter(0.0, 1.0) * rng.integers(-3, 4, m)
+        ulps = np.spacing(modulus) * rng.integers(-3, 4, m)
+        cases += [tiny, modulus + ulps, np.concatenate([tiny, modulus + ulps, -ulps])]
+    for arr in cases:
+        assert circular_median(arr, modulus) == pairwise_median(arr, modulus)
 
 
 def test_circular_median_memory_is_linear():

@@ -136,6 +136,95 @@ def test_smoother_input_validation():
     bad[5] = bad[4]
     with pytest.raises(InvalidArgumentError):
         smooth_angular_rate_from_poses(bad, np.zeros(10))
+    # NaN passes a plain ``<= 0`` test, and 1e-300 squares to 0.
+    for sigma in (math.nan, math.inf, -0.01, 1e-300, 1e200):
+        with pytest.raises(InvalidArgumentError, match="heading_sigma"):
+            smooth_angular_rate_from_poses(t, np.zeros(10), heading_sigma=sigma)
+    for psd in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(InvalidArgumentError, match="jerk_psd"):
+            smooth_angular_rate_from_poses(t, np.zeros(10), jerk_psd=psd)
+    for value in (math.nan, math.inf):
+        stamps = t.copy()
+        stamps[5] = value
+        headings = np.zeros(10)
+        headings[5] = value
+        for args in ((stamps, np.zeros(10)), (t, headings)):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                smooth_angular_rate_from_poses(*args)
+
+
+def reference_smoother(timestamps, headings, heading_sigma=0.01, jerk_psd=0.5):
+    """The per-sample filter and backward pass, matrices and gains built at
+    every step, kept as the reference for ``smooth_angular_rate_from_poses``."""
+    t = np.asarray(timestamps, dtype=float)
+    z = np.unwrap(np.asarray(headings, dtype=float))
+    n = t.size
+    r = heading_sigma ** 2
+    hrow = np.array([1.0, 0.0, 0.0])
+
+    x = np.array([z[0], (z[1] - z[0]) / (t[1] - t[0]), 0.0])
+    P = np.diag([r, 1.0, 1.0])
+
+    xs_pred = np.zeros((n, 3))
+    xs_filt = np.zeros((n, 3))
+    gains = np.zeros((n - 1, 3, 3))
+
+    for i in range(n):
+        if i == 0:
+            xp, Pp = x, P
+        else:
+            dt = t[i] - t[i - 1]
+            F = np.array([[1.0, dt, 0.5 * dt * dt], [0.0, 1.0, dt], [0.0, 0.0, 1.0]])
+            Q = jerk_psd * np.array(
+                [
+                    [dt ** 5 / 20.0, dt ** 4 / 8.0, dt ** 3 / 6.0],
+                    [dt ** 4 / 8.0, dt ** 3 / 3.0, dt ** 2 / 2.0],
+                    [dt ** 3 / 6.0, dt ** 2 / 2.0, dt],
+                ]
+            )
+            xp = F @ x
+            Pp = F @ P @ F.T + Q
+            gains[i - 1] = P @ F.T @ np.linalg.inv(Pp)
+        innov = z[i] - hrow @ xp
+        s = float(hrow @ Pp @ hrow) + r
+        k = (Pp @ hrow) / s
+        x = xp + k * innov
+        P = (np.eye(3) - np.outer(k, hrow)) @ Pp
+        xs_pred[i], xs_filt[i] = xp, x
+
+    xs = xs_filt.copy()
+    for i in range(n - 2, -1, -1):
+        xs[i] = xs_filt[i] + gains[i] @ (xs[i + 1] - xs_pred[i + 1])
+    return xs[:, 1]
+
+
+def assert_smoother_matches_reference(t, headings, **kwargs):
+    got = smooth_angular_rate_from_poses(t, headings, **kwargs)
+    np.testing.assert_array_equal(got.timestamps, t)
+    assert np.array_equal(got.omega, reference_smoother(t, headings, **kwargs))
+
+
+@pytest.mark.parametrize("duration, seeds", [(15.0, (0, 1, 2)), (600.0, (0, 1))])
+def test_smoother_matches_reference_on_simulated_tracks(duration, seeds):
+    # 50 Hz, the rate of the heading tracks ``recover-scale --poses`` is fed;
+    # a 600 s track spans several blocks of stacked gains.
+    track = generate_trajectory(TrajectoryProfile(duration=duration, rate=50.0))
+    _, psi, _, _ = track.world_poses()
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        noisy = psi + 0.01 * rng.standard_normal(psi.shape)
+        assert_smoother_matches_reference(track.timestamps, noisy)
+
+
+def test_smoother_matches_reference_on_irregular_and_repeated_steps():
+    rng = np.random.default_rng(5)
+    irregular = np.cumsum(rng.uniform(0.005, 0.05, 3000))
+    assert_smoother_matches_reference(irregular, rng.standard_normal(irregular.size))
+    repeated = np.cumsum(rng.choice([0.02, 0.1, 0.03], 5000))
+    headings = np.sin(repeated) + 0.01 * rng.standard_normal(repeated.size)
+    assert_smoother_matches_reference(repeated, headings)
+    assert_smoother_matches_reference(repeated, headings, heading_sigma=0.003, jerk_psd=2.0)
+    assert_smoother_matches_reference(np.array([0.0, 0.1, 0.3]), np.array([0.0, 0.1, 0.3]))
 
 
 def test_end_to_end_scale_from_poses():
