@@ -11,7 +11,8 @@ external angular-rate source.
 Typical flow::
 
     from radarcal import (
-        RansacConfig, estimate_stream, synchronize, filter_pairs, solve_lm,
+        RansacConfig, load_scans, estimate_stream, synchronize, filter_pairs,
+        solve_lm,
     )
 
     streams = load_scans("scans.txt")
@@ -26,8 +27,7 @@ from .calib_solver import (
     CalibrationReport,
     ExcitationVerdict,
     Extrinsics,
-    MeasurementPair,
-    MotionState,
+    MeasurementPairs,
     SolverOptions,
     assess_excitation,
     fused_ego_velocities,
@@ -61,7 +61,6 @@ from .errors import (
 from .identifiability import (
     ExcitationReport,
     ExcitationThresholds,
-    ExcitationSample,
     excitation_report,
     observability_det,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "EgoVelocityEstimate",
     "EmptyInputError",
     "ExcitationReport",
-    "ExcitationSample",
     "ExcitationThresholds",
     "ExcitationVerdict",
     "Extrinsics",
@@ -118,8 +116,7 @@ __all__ = [
     "InsufficientExcitationError",
     "InvalidArgumentError",
     "InvalidWeightError",
-    "MeasurementPair",
-    "MotionState",
+    "MeasurementPairs",
     "NoConsensusError",
     "NoiseSpec",
     "ParseError",

@@ -22,7 +22,7 @@ eliminated with a Schur complement, so each iteration costs O(M).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -56,23 +56,39 @@ DEFAULT_MIN_SPEED = 0.05   # m/s, speeds below this carry no usable direction
 DEFAULT_MIN_LEVER = 0.05   # m/s, lever-arm velocities below this are noise
 
 
-@dataclass
-class MeasurementPair:
-    """Synchronized ego-velocity estimates of both radars at one time."""
+@dataclass(eq=False)
+class MeasurementPairs:
+    """M synchronized ego-velocity pairs of both radars, stacked.
 
-    h_a: np.ndarray          # (2,) m/s in radar a's frame
-    h_b: np.ndarray          # (2,) m/s in radar b's frame
-    cov_a: np.ndarray        # (2, 2)
-    cov_b: np.ndarray        # (2, 2)
-    timestamp: float
+    Shapes and finiteness are checked once, here, and every stage after
+    takes the arrays as they are.  ``len()`` counts the pairs; indexing by a
+    slice, a boolean mask or an index array selects pairs.
+    """
 
+    timestamps: np.ndarray   # (M,) s
+    h_a: np.ndarray          # (M, 2) m/s in radar a's frame
+    h_b: np.ndarray          # (M, 2) m/s in radar b's frame
+    cov_a: np.ndarray        # (M, 2, 2)
+    cov_b: np.ndarray        # (M, 2, 2)
 
-@dataclass
-class MotionState:
-    """Per-timestep motion unknowns: velocity and unscaled turn rate."""
+    def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, np.ascontiguousarray(getattr(self, f.name), dtype=float))
+        m = self.timestamps.shape
+        shapes = (self.h_a.shape, self.h_b.shape, self.cov_a.shape, self.cov_b.shape)
+        if len(m) != 1 or shapes != (m + (2,), m + (2,), m + (2, 2), m + (2, 2)):
+            raise InvalidArgumentError("measurement pairs have wrong shapes")
+        if not all(np.all(np.isfinite(x)) for x in (self.h_a, self.h_b, self.timestamps)):
+            raise InvalidArgumentError("measurement pairs contain non-finite values")
+        for what, cov in (("radar a", self.cov_a), ("radar b", self.cov_b)):
+            if not np.all(np.isfinite(cov)):
+                raise InvalidArgumentError(f"{what} covariance contains non-finite values")
 
-    v_a: np.ndarray          # (2,) m/s
-    omega_gamma: float       # rad m/s, angular rate times baseline length
+    def __len__(self) -> int:
+        return self.timestamps.size
+
+    def __getitem__(self, index) -> MeasurementPairs:
+        return MeasurementPairs(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 @dataclass
@@ -153,27 +169,21 @@ class CalibrationReport:
     converged: bool
     termination: str                       # which stopping criterion fired
     excitation: ExcitationReport | None
-    fused_motion: list[MotionState]
+    v_a: np.ndarray                        # (M, 2) fused velocities of radar a
+    omega_gamma: np.ndarray                # (M,) fused unscaled turn rates
     timestamps: np.ndarray                 # (M,)
     mean_velocity_error: float
     velocity_error_table: dict
 
 
 @dataclass
-class _PairData:
-    """Pairs unpacked into contiguous arrays with precomputed weights."""
+class _Weights:
+    """The solver's weights for a set of pairs."""
 
-    ha: np.ndarray    # (M, 2)
-    hb: np.ndarray    # (M, 2)
     Pa: np.ndarray    # (M, 2, 2) inverse floored covariances
     Pb: np.ndarray    # (M, 2, 2)
     Wa: np.ndarray    # (M, 2, 2) whiteners, W^T W = P
     Wb: np.ndarray    # (M, 2, 2)
-    timestamps: np.ndarray  # (M,)
-
-    @property
-    def n(self) -> int:
-        return self.ha.shape[0]
 
 
 def _inv_psd_2x2(covs: np.ndarray, floor: float, what: str) -> np.ndarray:
@@ -206,27 +216,13 @@ def _whiteners(P: np.ndarray) -> np.ndarray:
     return W
 
 
-def _pair_data(pairs: list[MeasurementPair] | _PairData, cov_floor: float = COV_FLOOR) -> _PairData:
-    """The one validation and conversion of pairs; a ``_PairData`` passes through as is."""
-    if isinstance(pairs, _PairData):
-        return pairs
-    if not pairs:
+def _weights(pairs: MeasurementPairs, cov_floor: float = COV_FLOOR) -> _Weights:
+    """The one conversion of the pairs' covariances into weights."""
+    if not len(pairs):
         raise InsufficientDataError("no measurement pairs supplied")
-    ha = np.array([np.asarray(p.h_a, dtype=float) for p in pairs])
-    hb = np.array([np.asarray(p.h_b, dtype=float) for p in pairs])
-    ca = np.array([np.asarray(p.cov_a, dtype=float) for p in pairs])
-    cb = np.array([np.asarray(p.cov_b, dtype=float) for p in pairs])
-    ts = np.array([float(p.timestamp) for p in pairs])
-    if ha.shape[1:] != (2,) or ca.shape[1:] != (2, 2):
-        raise InvalidArgumentError("measurement pairs have wrong shapes")
-    if not (np.all(np.isfinite(ha)) and np.all(np.isfinite(hb)) and np.all(np.isfinite(ts))):
-        raise InvalidArgumentError("measurement pairs contain non-finite values")
-    for what, cov in (("radar a", ca), ("radar b", cb)):
-        if not np.all(np.isfinite(cov)):
-            raise InvalidArgumentError(f"{what} covariance contains non-finite values")
-    Pa = _inv_psd_2x2(ca, cov_floor, "radar a")
-    Pb = _inv_psd_2x2(cb, cov_floor, "radar b")
-    return _PairData(ha=ha, hb=hb, Pa=Pa, Pb=Pb, Wa=_whiteners(Pa), Wb=_whiteners(Pb), timestamps=ts)
+    Pa = _inv_psd_2x2(pairs.cov_a, cov_floor, "radar a")
+    Pb = _inv_psd_2x2(pairs.cov_b, cov_floor, "radar b")
+    return _Weights(Pa=Pa, Pb=Pb, Wa=_whiteners(Pa), Wb=_whiteners(Pb))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +230,7 @@ def _pair_data(pairs: list[MeasurementPair] | _PairData, cov_floor: float = COV_
 
 
 def init_rotation(
-    pairs: list[MeasurementPair],
+    pairs: MeasurementPairs,
     k: int | None = None,
     min_speed: float = DEFAULT_MIN_SPEED,
 ) -> float:
@@ -246,8 +242,7 @@ def init_rotation(
     circular median of those angles is robust to the odd corrupted pair.
     ``k`` defaults to ``min(50, usable // 4)``, at least 1.
     """
-    data = _pair_data(pairs)
-    ha, hb = data.ha, data.hb
+    ha, hb = pairs.h_a, pairs.h_b
     sa = np.hypot(ha[:, 0], ha[:, 1])
     sb = np.hypot(hb[:, 0], hb[:, 1])
     usable = np.flatnonzero((sa >= min_speed) & (sb >= min_speed))
@@ -264,7 +259,7 @@ def init_rotation(
 
 
 def init_translation_axis(
-    pairs: list[MeasurementPair],
+    pairs: MeasurementPairs,
     theta_ba: float,
     min_lever: float = DEFAULT_MIN_LEVER,
 ) -> float:
@@ -276,8 +271,7 @@ def init_translation_axis(
     axis; its angle modulo pi estimates ``theta_t``.  Samples with
     ``|b_j| < min_lever`` carry no direction information and are skipped.
     """
-    data = _pair_data(pairs)
-    b = data.hb @ rot2(theta_ba) - data.ha  # rows b_j = R^T h_b - h_a
+    b = pairs.h_b @ rot2(theta_ba) - pairs.h_a  # rows b_j = R^T h_b - h_a
     norms = np.hypot(b[:, 0], b[:, 1])
     usable = norms >= min_lever
     if not np.any(usable):
@@ -291,7 +285,7 @@ def init_translation_axis(
     return circular_median(wrap_axis(raw), math.pi)
 
 
-def _motion_from_data(data: _PairData, theta_t: float, theta_ba: float):
+def _motion_from_data(pairs: MeasurementPairs, wt: _Weights, theta_t: float, theta_ba: float):
     """Closed-form weighted fit of (v_a, omega_gamma) per timestep.
 
     With extrinsics fixed, each timestep decouples into an independent 3x3
@@ -302,14 +296,14 @@ def _motion_from_data(data: _PairData, theta_t: float, theta_ba: float):
     R = rot2(theta_ba)
     u = lever_unit(theta_t)
     # Q = R^T Pb R, the b-weights pulled back into radar a's frame.
-    Q = np.einsum("ji,mjk,kl->mil", R, data.Pb, R)
+    Q = np.einsum("ji,mjk,kl->mil", R, wt.Pb, R)
     Qu = Q @ u                                    # (M, 2)
-    rhs_v = np.einsum("mij,mj->mi", data.Pa, data.ha) + np.einsum(
-        "ji,mjk,mk->mi", R, data.Pb, data.hb
+    rhs_v = np.einsum("mij,mj->mi", wt.Pa, pairs.h_a) + np.einsum(
+        "ji,mjk,mk->mi", R, wt.Pb, pairs.h_b
     )
-    rhs_w = np.einsum("i,ji,mjk,mk->m", u, R, data.Pb, data.hb)
-    N = np.empty((data.n, 3, 3))
-    N[:, :2, :2] = data.Pa + Q
+    rhs_w = np.einsum("i,ji,mjk,mk->m", u, R, wt.Pb, pairs.h_b)
+    N = np.empty((len(pairs), 3, 3))
+    N[:, :2, :2] = wt.Pa + Q
     N[:, :2, 2] = Qu
     N[:, 2, :2] = Qu
     N[:, 2, 2] = np.einsum("i,mij,j->m", u, Q, u)
@@ -318,11 +312,10 @@ def _motion_from_data(data: _PairData, theta_t: float, theta_ba: float):
     return z[:, :2], z[:, 2]
 
 
-def init_motion_states(pairs: list[MeasurementPair], extrinsics: Extrinsics) -> list[MotionState]:
-    """Per-timestep motion states that best explain the pairs at fixed extrinsics."""
-    data = _pair_data(pairs)
-    v, w = _motion_from_data(data, extrinsics.theta_t, extrinsics.theta_ba)
-    return [MotionState(v_a=v[j].copy(), omega_gamma=float(w[j])) for j in range(data.n)]
+def init_motion_states(pairs: MeasurementPairs, extrinsics: Extrinsics) -> CalibState:
+    """The motion states that best explain the pairs at fixed extrinsics."""
+    v, w = _motion_from_data(pairs, _weights(pairs), extrinsics.theta_t, extrinsics.theta_ba)
+    return CalibState(v_a=v, omega_gamma=w, extrinsics=extrinsics)
 
 
 def _dominant_motion_axis(ha: np.ndarray) -> float:
@@ -354,7 +347,7 @@ class ExcitationVerdict:
 
 
 def assess_excitation(
-    pairs: list[MeasurementPair], options: SolverOptions | None = None
+    pairs: MeasurementPairs, options: SolverOptions | None = None
 ) -> ExcitationVerdict:
     """Closed-form extrinsics guess, and the verdict by which calibration refuses.
 
@@ -363,30 +356,29 @@ def assess_excitation(
     report at the guess raises a flag or finds more than
     ``max_degenerate_fraction`` of the timesteps degenerate.
     """
-    return _assess_excitation(pairs, options)[0]
+    opts = options or SolverOptions()
+    return _assess_excitation(pairs, _weights(pairs, opts.cov_floor), opts)[0]
 
 
-def _assess_excitation(pairs, options: SolverOptions | None):
+def _assess_excitation(pairs: MeasurementPairs, wt: _Weights, opts: SolverOptions):
     """:func:`assess_excitation`, plus the motion fit at the guess that the
     excitation report made (``None`` below 3 pairs), so that LM starts from
     it instead of fitting again."""
     from .identifiability import _excitation_report  # deferred: identifiability uses this module
 
-    opts = options or SolverOptions()
-    data = _pair_data(pairs, opts.cov_floor)
-    theta_ba = init_rotation(data, k=opts.init_k, min_speed=opts.min_speed)
+    theta_ba = init_rotation(pairs, k=opts.init_k, min_speed=opts.min_speed)
     reasons = []
     try:
-        theta_t = init_translation_axis(data, theta_ba, min_lever=opts.min_lever)
+        theta_t = init_translation_axis(pairs, theta_ba, min_lever=opts.min_lever)
     except InsufficientExcitationError:
-        theta_t = _dominant_motion_axis(data.ha)
+        theta_t = _dominant_motion_axis(pairs.h_a)
         reasons.append("no rotational signal")
     guess = Extrinsics(theta_t=theta_t, theta_ba=theta_ba)
-    if data.n < 3:
-        reasons = [f"excitation check needs at least 3 pairs, got {data.n}"]
+    if len(pairs) < 3:
+        reasons = [f"excitation check needs at least 3 pairs, got {len(pairs)}"]
         return ExcitationVerdict(guess=guess, report=None, reasons=reasons), None
 
-    report, motion = _excitation_report(data, guess, opts.excitation_thresholds)
+    report, motion = _excitation_report(pairs, wt, guess, opts.excitation_thresholds)
     if report.fraction_degenerate > opts.max_degenerate_fraction:
         reasons.append(
             f"degenerate fraction {report.fraction_degenerate:.3f} "
@@ -402,22 +394,21 @@ def _assess_excitation(pairs, options: SolverOptions | None):
 
 
 def _residual_matrix(
-    data: _PairData, v: np.ndarray, w: np.ndarray, theta_t: float, theta_ba: float
+    pairs: MeasurementPairs, wt: _Weights, v: np.ndarray, w: np.ndarray, theta_t: float,
+    theta_ba: float,
 ) -> np.ndarray:
     """Whitened residuals, shape (M, 4): rows [r_a (2), r_b (2)]."""
     R = rot2(theta_ba)
     u = lever_unit(theta_t)
-    ea = data.ha - v
-    eb = data.hb - (v + w[:, None] * u) @ R.T
-    out = np.empty((data.n, 4))
-    out[:, 0:2] = np.einsum("mij,mj->mi", data.Wa, ea)
-    out[:, 2:4] = np.einsum("mij,mj->mi", data.Wb, eb)
+    ea = pairs.h_a - v
+    eb = pairs.h_b - (v + w[:, None] * u) @ R.T
+    out = np.empty((len(pairs), 4))
+    out[:, 0:2] = np.einsum("mij,mj->mi", wt.Wa, ea)
+    out[:, 2:4] = np.einsum("mij,mj->mi", wt.Wb, eb)
     return out
 
 
-def _jacobian_blocks(
-    data: _PairData, v: np.ndarray, w: np.ndarray, theta_t: float, theta_ba: float
-):
+def _jacobian_blocks(wt: _Weights, v: np.ndarray, w: np.ndarray, theta_t: float, theta_ba: float):
     """Whitened Jacobian blocks.
 
     Returns ``(A, B)`` with ``A`` of shape (M, 4, 3): derivatives of each
@@ -427,10 +418,10 @@ def _jacobian_blocks(
     R = rot2(theta_ba)
     u = lever_unit(theta_t)
     axis = axis_unit(theta_t)
-    WbR = data.Wb @ R
-    M = data.n
+    WbR = wt.Wb @ R
+    M = w.shape[0]
     A = np.zeros((M, 4, 3))
-    A[:, 0:2, 0:2] = -data.Wa
+    A[:, 0:2, 0:2] = -wt.Wa
     A[:, 2:4, 0:2] = -WbR
     A[:, 2:4, 2] = -(WbR @ u)
     B = np.zeros((M, 4, 2))
@@ -438,41 +429,42 @@ def _jacobian_blocks(
     B[:, 2:4, 0] = (WbR @ axis) * w[:, None]
     # d r_b / d theta_ba: dR/dtheta = R @ wedge(1).
     Rw = R @ np.array([[0.0, -1.0], [1.0, 0.0]])
-    B[:, 2:4, 1] = -np.einsum("mij,mj->mi", data.Wb @ Rw, v + w[:, None] * u)
+    B[:, 2:4, 1] = -np.einsum("mij,mj->mi", wt.Wb @ Rw, v + w[:, None] * u)
     return A, B
 
 
-def residuals(state: CalibState, pairs: list[MeasurementPair]) -> np.ndarray:
+def residuals(state: CalibState, pairs: MeasurementPairs) -> np.ndarray:
     """Whitened residual vector of length 4M.
 
     Layout: timestep-major, ``[r_a^1 (2), r_b^1 (2), r_a^2 (2), ...]``.  Its
     squared norm is the weighted cost being minimized.
     """
-    data = _pair_data(pairs)
+    wt = _weights(pairs)
     v = np.asarray(state.v_a, dtype=float)
     w = np.asarray(state.omega_gamma, dtype=float)
-    if v.shape != (data.n, 2) or w.shape != (data.n,):
+    M = len(pairs)
+    if v.shape != (M, 2) or w.shape != (M,):
         raise InvalidArgumentError(
-            f"state holds {v.shape[0] if v.ndim == 2 else 'bad'} motion states "
-            f"for {data.n} pairs"
+            f"state holds {v.shape[0] if v.ndim == 2 else 'bad'} motion states for {M} pairs"
         )
     return _residual_matrix(
-        data, v, w, state.extrinsics.theta_t, state.extrinsics.theta_ba
+        pairs, wt, v, w, state.extrinsics.theta_t, state.extrinsics.theta_ba
     ).ravel()
 
 
-def jacobian(state: CalibState, pairs: list[MeasurementPair]) -> scipy.sparse.csr_matrix:
+def jacobian(state: CalibState, pairs: MeasurementPairs) -> scipy.sparse.csr_matrix:
     """Sparse Jacobian of :func:`residuals`, shape (4M, 3M + 2).
 
     Column order matches the state layout ``[v^1_x, v^1_y, omega_gamma^1,
     ..., theta_t, theta_ba]``.  Rows of timestep j have support only on that
     timestep's three motion columns and the two shared extrinsic columns.
     """
-    data = _pair_data(pairs)
     v = np.asarray(state.v_a, dtype=float)
     w = np.asarray(state.omega_gamma, dtype=float)
-    A, B = _jacobian_blocks(data, v, w, state.extrinsics.theta_t, state.extrinsics.theta_ba)
-    M = data.n
+    A, B = _jacobian_blocks(
+        _weights(pairs), v, w, state.extrinsics.theta_t, state.extrinsics.theta_ba
+    )
+    M = len(pairs)
     rows_m = (4 * np.arange(M)[:, None, None] + np.arange(4)[None, :, None])
     cols_m = (3 * np.arange(M)[:, None, None] + np.arange(3)[None, None, :])
     rows_m = np.broadcast_to(rows_m, A.shape).ravel()
@@ -492,7 +484,7 @@ def jacobian(state: CalibState, pairs: list[MeasurementPair]) -> scipy.sparse.cs
 
 
 def unconstrained_cost(
-    pairs: list[MeasurementPair],
+    pairs: MeasurementPairs,
     v: np.ndarray,
     omega: np.ndarray,
     t_vec: np.ndarray,
@@ -505,16 +497,16 @@ def unconstrained_cost(
     scale-free parametrization.  Rescaling ``omega -> g * omega`` together
     with ``t -> t / g`` leaves this value unchanged.
     """
-    data = _pair_data(pairs, cov_floor)
+    wt = _weights(pairs, cov_floor)
     v = np.asarray(v, dtype=float)
     omega = np.asarray(omega, dtype=float)
     t_vec = np.asarray(t_vec, dtype=float)
     R = rot2(theta_ba)
     lever = np.array([-t_vec[1], t_vec[0]])
-    ea = data.ha - v
-    eb = data.hb - (v + omega[:, None] * lever) @ R.T
-    ca = np.einsum("mi,mij,mj->", ea, data.Pa, ea)
-    cb = np.einsum("mi,mij,mj->", eb, data.Pb, eb)
+    ea = pairs.h_a - v
+    eb = pairs.h_b - (v + omega[:, None] * lever) @ R.T
+    ca = np.einsum("mi,mij,mj->", ea, wt.Pa, ea)
+    cb = np.einsum("mi,mij,mj->", eb, wt.Pb, eb)
     return float(ca + cb)
 
 
@@ -566,7 +558,7 @@ def _canonical_gauge(theta_t: float, theta_ba: float, w: np.ndarray):
     return tt, wrap_to_pi(theta_ba), w
 
 
-def velocity_error_metric(pairs: list[MeasurementPair], extrinsics: Extrinsics) -> float:
+def velocity_error_metric(pairs: MeasurementPairs, extrinsics: Extrinsics) -> float:
     """Mean magnitude of the radar-b residual with per-pair best-fit rates.
 
     Takes ``h_a`` as radar a's velocity, solves the single scalar rate that
@@ -574,18 +566,17 @@ def velocity_error_metric(pairs: list[MeasurementPair], extrinsics: Extrinsics) 
     remaining magnitude.  A consistency measure comparable across datasets
     without ground truth.
     """
-    data = _pair_data(pairs)
     R = rot2(extrinsics.theta_ba)
     u = lever_unit(extrinsics.theta_t)
-    d = data.hb @ R - data.ha        # rows R^T h_b - h_a
+    d = pairs.h_b @ R - pairs.h_a    # rows R^T h_b - h_a
     wstar = d @ u                    # unit lever direction: projection is optimal
-    eb = data.hb - (data.ha + wstar[:, None] * u) @ R.T
+    eb = pairs.h_b - (pairs.h_a + wstar[:, None] * u) @ R.T
     return float(np.mean(np.hypot(eb[:, 0], eb[:, 1])))
 
 
 def fused_ego_velocities(
     report: CalibrationReport,
-    pairs: list[MeasurementPair],
+    pairs: MeasurementPairs,
     ground_truth=None,
     mode: str | None = None,
 ) -> dict:
@@ -607,13 +598,11 @@ def fused_ego_velocities(
     if mode == "simulation" and ground_truth is None:
         raise InvalidArgumentError("simulation mode requires ground truth")
 
-    data = _pair_data(pairs)
     ext = report.extrinsics
     R = rot2(ext.theta_ba)
     u = lever_unit(ext.theta_t)
-    v = np.array([m.v_a for m in report.fused_motion], dtype=float)
-    w = np.array([m.omega_gamma for m in report.fused_motion], dtype=float)
-    if v.shape[0] != data.n:
+    v, w = report.v_a, report.omega_gamma
+    if v.shape[0] != len(pairs):
         raise InvalidArgumentError("report and pairs disagree on the number of timesteps")
     fused_b = (v + w[:, None] * u) @ R.T
 
@@ -622,28 +611,25 @@ def fused_ego_velocities(
         # few detections dropped, slow pairs removed), so match row by row
         # instead of demanding identical arrays.
         tts = np.asarray(ground_truth.timestamps, dtype=float)
-        idx = np.searchsorted(tts, data.timestamps)
+        ts = pairs.timestamps
+        idx = np.searchsorted(tts, ts)
         idx = np.clip(idx, 0, len(tts) - 1)
         left = np.clip(idx - 1, 0, len(tts) - 1)
-        idx = np.where(
-            np.abs(tts[left] - data.timestamps) < np.abs(tts[idx] - data.timestamps),
-            left,
-            idx,
-        )
-        if not np.allclose(tts[idx], data.timestamps, rtol=0.0, atol=1e-9):
+        idx = np.where(np.abs(tts[left] - ts) < np.abs(tts[idx] - ts), left, idx)
+        if not np.allclose(tts[idx], ts, rtol=0.0, atol=1e-9):
             raise InvalidArgumentError("ground truth timestamps do not match the pairs")
         ref_a = ground_truth.v_a[idx]
         ref_b = ground_truth.model_h_b()[idx]
     else:
-        ref_a = data.hb @ R - w[:, None] * u
-        ref_b = (data.ha + w[:, None] * u) @ R.T
+        ref_a = pairs.h_b @ R - w[:, None] * u
+        ref_b = (pairs.h_a + w[:, None] * u) @ R.T
 
     def mag(x):
         return np.hypot(x[:, 0], x[:, 1])
 
     return {
-        "radar_a": {"raw": mag(data.ha - ref_a), "fused": mag(v - ref_a)},
-        "radar_b": {"raw": mag(data.hb - ref_b), "fused": mag(fused_b - ref_b)},
+        "radar_a": {"raw": mag(pairs.h_a - ref_a), "fused": mag(v - ref_a)},
+        "radar_b": {"raw": mag(pairs.h_b - ref_b), "fused": mag(fused_b - ref_b)},
     }
 
 
@@ -662,15 +648,16 @@ class _LmRun:
 
 
 def _run_lm(
-    data: _PairData, theta_t0: float, theta_ba0: float, opts: SolverOptions, motion=None
+    pairs: MeasurementPairs, wt: _Weights, theta_t0: float, theta_ba0: float,
+    opts: SolverOptions, motion=None,
 ) -> _LmRun:
     """Descend from the given angles; ``motion`` is the fit ``(v, w)`` of
     :func:`_motion_from_data` at them, when the caller already has it."""
-    v, w = motion if motion is not None else _motion_from_data(data, theta_t0, theta_ba0)
+    v, w = motion if motion is not None else _motion_from_data(pairs, wt, theta_t0, theta_ba0)
     tht = float(theta_t0)
     thb = float(theta_ba0)
 
-    r4 = _residual_matrix(data, v, w, tht, thb)
+    r4 = _residual_matrix(pairs, wt, v, w, tht, thb)
     cost = float(np.sum(r4 * r4))
     lam = opts.lambda0
     converged = False
@@ -679,7 +666,7 @@ def _run_lm(
 
     for _ in range(opts.max_iterations):
         iterations += 1
-        A, B = _jacobian_blocks(data, v, w, tht, thb)
+        A, B = _jacobian_blocks(wt, v, w, tht, thb)
         Hmm, Hme, Hee, gm, ge = _gauss_newton_blocks(A, B, r4)
         ginf = max(float(np.max(np.abs(gm))), float(np.max(np.abs(ge))))
         if ginf < opts.gradient_tol:
@@ -698,7 +685,7 @@ def _run_lm(
             w_new = w + dm[:, 2]
             tht_new = tht + float(de[0])
             thb_new = thb + float(de[1])
-            r4_new = _residual_matrix(data, v_new, w_new, tht_new, thb_new)
+            r4_new = _residual_matrix(pairs, wt, v_new, w_new, tht_new, thb_new)
             cost_new = float(np.sum(r4_new * r4_new))
             if cost_new < cost:
                 step_inf = max(float(np.max(np.abs(dm))), float(np.max(np.abs(de))))
@@ -726,7 +713,9 @@ def _run_lm(
     )
 
 
-def _profile_costs(data: _PairData, t_grid: np.ndarray, ba_grid: np.ndarray) -> np.ndarray:
+def _profile_costs(
+    pairs: MeasurementPairs, wt: _Weights, t_grid: np.ndarray, ba_grid: np.ndarray
+) -> np.ndarray:
     """Profile cost at every (theta_t, theta_ba) cell, shape (len(t_grid), len(ba_grid)).
 
     The value is the cost left after :func:`_motion_from_data`'s fit, with
@@ -738,14 +727,14 @@ def _profile_costs(data: _PairData, t_grid: np.ndarray, ba_grid: np.ndarray) -> 
     ``H`` and ``d`` depend on ``theta_ba`` alone, so the sweep loops over
     ``theta_ba`` and vectorizes over ``theta_t`` and the timesteps.
     """
-    Ca = np.linalg.inv(data.Pa)
-    Cb = np.linalg.inv(data.Pb)
+    Ca = np.linalg.inv(wt.Pa)
+    Cb = np.linalg.inv(wt.Pb)
     U = np.stack([-np.sin(t_grid), np.cos(t_grid)], axis=1)
     costs = np.empty((t_grid.size, ba_grid.size))
     for j, theta_ba in enumerate(ba_grid):
         R = rot2(float(theta_ba))
         H = np.linalg.inv(Ca + R.T @ Cb @ R)
-        d = data.ha - data.hb @ R                     # rows h_a - R^T h_b
+        d = pairs.h_a - pairs.h_b @ R                 # rows h_a - R^T h_b
         Hd = np.einsum("mij,mj->mi", H, d)
         uHd = U @ Hd.T                                # (G_t, M)
         uHu = np.einsum("ti,mij,tj->tm", U, H, U)
@@ -753,19 +742,21 @@ def _profile_costs(data: _PairData, t_grid: np.ndarray, ba_grid: np.ndarray) -> 
     return costs
 
 
-def _coarse_grid_init(data: _PairData, step_deg: float) -> tuple[float, float]:
+def _coarse_grid_init(
+    pairs: MeasurementPairs, wt: _Weights, step_deg: float
+) -> tuple[float, float]:
     """Best (theta_t, theta_ba) cell of a coarse profile-cost sweep.
 
     Slower than the closed-form guesses but insensitive to baseline length
     and dataset size, so it serves as the fallback start."""
     t_grid = np.arange(0.0, math.pi, math.radians(step_deg))
     ba_grid = np.arange(-math.pi, math.pi, math.radians(step_deg))
-    costs = _profile_costs(data, t_grid, ba_grid)
+    costs = _profile_costs(pairs, wt, t_grid, ba_grid)
     i, j = np.unravel_index(np.argmin(costs), costs.shape)
     return float(t_grid[i]), float(ba_grid[j])
 
 
-def solve_lm(pairs: list[MeasurementPair], options: SolverOptions | None = None) -> CalibrationReport:
+def solve_lm(pairs: MeasurementPairs, options: SolverOptions | None = None) -> CalibrationReport:
     """Calibrate the radar pair from synchronized ego-velocity pairs.
 
     Initializes the rotation, axis and motion states in closed form, then
@@ -775,16 +766,16 @@ def solve_lm(pairs: list[MeasurementPair], options: SolverOptions | None = None)
     spurious answer; the diagnostic report rides along on the exception.
     """
     opts = options or SolverOptions()
-    data = _pair_data(pairs, opts.cov_floor)
-    M = data.n
+    wt = _weights(pairs, opts.cov_floor)
+    M = len(pairs)
     if M < 2:
         raise InsufficientDataError(f"need at least 2 pairs, got {M}")
 
-    verdict, motion = _assess_excitation(data, opts)
+    verdict, motion = _assess_excitation(pairs, wt, opts)
     if opts.enforce_excitation:
         verdict.raise_if_refused()
 
-    run = _run_lm(data, verdict.guess.theta_t, verdict.guess.theta_ba, opts, motion)
+    run = _run_lm(pairs, wt, verdict.guess.theta_t, verdict.guess.theta_ba, opts, motion)
 
     # The closed-form guesses can start the descent in the wrong basin: the
     # rotation guess assumes the lever barely perturbs the speeds (false for
@@ -802,7 +793,7 @@ def solve_lm(pairs: list[MeasurementPair], options: SolverOptions | None = None)
     else:
         step_deg = None
     if step_deg is not None:
-        retry = _run_lm(data, *_coarse_grid_init(data, step_deg), opts)
+        retry = _run_lm(pairs, wt, *_coarse_grid_init(pairs, wt, step_deg), opts)
         if retry.cost < run.cost:
             run = retry
 
@@ -810,13 +801,12 @@ def solve_lm(pairs: list[MeasurementPair], options: SolverOptions | None = None)
     iterations, converged, termination = run.iterations, run.converged, run.termination
     tht, thb, w = _canonical_gauge(run.theta_t, run.theta_ba, w)
     ext = Extrinsics(theta_t=tht, theta_ba=thb)
-    r4 = _residual_matrix(data, v, w, tht, thb)
+    r4 = _residual_matrix(pairs, wt, v, w, tht, thb)
     cost = float(np.sum(r4 * r4))
-    A, B = _jacobian_blocks(data, v, w, tht, thb)
+    A, B = _jacobian_blocks(wt, v, w, tht, thb)
     Hmm, Hme, Hee, _, _ = _gauss_newton_blocks(A, B, r4)
     cov = _marginal_extrinsic_covariance(Hmm, Hme, Hee)
 
-    fused = [MotionState(v_a=v[j].copy(), omega_gamma=float(w[j])) for j in range(M)]
     report = CalibrationReport(
         extrinsics=ext,
         extrinsic_covariance=cov,
@@ -825,12 +815,13 @@ def solve_lm(pairs: list[MeasurementPair], options: SolverOptions | None = None)
         converged=converged,
         termination=termination,
         excitation=verdict.report,
-        fused_motion=fused,
-        timestamps=data.timestamps.copy(),
-        mean_velocity_error=velocity_error_metric(data, ext),
+        v_a=v,
+        omega_gamma=w,
+        timestamps=pairs.timestamps.copy(),
+        mean_velocity_error=velocity_error_metric(pairs, ext),
         velocity_error_table={},
     )
-    errors = fused_ego_velocities(report, data, mode="reconstruction")
+    errors = fused_ego_velocities(report, pairs, mode="reconstruction")
     qs = (0.25, 0.5, 0.75, 0.9)
     report.velocity_error_table = {
         radar: {

@@ -43,9 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline_io
-from .calib_solver import (
-    _pair_data, assess_excitation, fused_ego_velocities, solve_lm, velocity_error_metric
-)
+from .calib_solver import assess_excitation, fused_ego_velocities, solve_lm, velocity_error_metric
 from .errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -315,17 +313,16 @@ def cmd_evaluate(args) -> int:
     _write_resolved_config(
         cfg, out, extra_comments=[f"evaluate report={args.report} truth={args.truth or 'none'}"]
     )
-    data = _pair_data(pairs)
     payload = {
         "format": pipeline_io.EVALUATION_FORMAT,
         "n_pairs": len(pairs),
-        "mean_velocity_error": velocity_error_metric(data, report.extrinsics),
+        "mean_velocity_error": velocity_error_metric(pairs, report.extrinsics),
         "median_errors": None,
         "extrinsic_error_deg": None,
     }
     truth = pipeline_io.load_truth(args.truth) if args.truth else None
-    if len(pairs) == len(report.fused_motion):
-        errors = fused_ego_velocities(report, data, ground_truth=truth)
+    if len(pairs) == len(report.timestamps):
+        errors = fused_ego_velocities(report, pairs, ground_truth=truth)
         payload["median_errors"] = {
             radar: {kind: float(np.median(series)) for kind, series in both.items()}
             for radar, both in errors.items()
@@ -357,8 +354,16 @@ def cmd_evaluate(args) -> int:
 
 def cmd_recover_scale(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(args)
     report = pipeline_io.read_report(args.report)
+    if args.rates:
+        series = load_angular_rate_csv(args.rates)
+    else:
+        t, headings = load_heading_csv(args.poses)
+        series = smooth_angular_rate_from_poses(
+            t, headings, heading_sigma=args.heading_sigma, jerk_psd=args.jerk_psd
+        )
+    result = recover_scale(report, series, min_rate=args.min_rate)
+    out = _outdir(args)  # only once the scale is recovered, so a failure writes nothing
     _write_resolved_config(
         cfg,
         out,
@@ -369,14 +374,6 @@ def cmd_recover_scale(args) -> int:
             f"heading_sigma={_num_tag(args.heading_sigma)} jerk_psd={_num_tag(args.jerk_psd)}",
         ],
     )
-    if args.rates:
-        series = load_angular_rate_csv(args.rates)
-    else:
-        t, headings = load_heading_csv(args.poses)
-        series = smooth_angular_rate_from_poses(
-            t, headings, heading_sigma=args.heading_sigma, jerk_psd=args.jerk_psd
-        )
-    result = recover_scale(report, series, min_rate=args.min_rate)
     payload = {
         "format": pipeline_io.SCALE_FORMAT,
         "gamma": result.gamma,

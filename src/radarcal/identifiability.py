@@ -20,23 +20,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .calib_solver import Extrinsics, _motion_from_data, _pair_data
+from .calib_solver import Extrinsics, MeasurementPairs, _motion_from_data, _weights
 from .errors import InsufficientDataError, InvalidArgumentError
 from .geometry import circular_median, wrap_axis
 
 FLAG_ZERO_ALPHA = "zero_alpha"
 FLAG_ZERO_VELOCITY = "zero_velocity"
 FLAG_AXIS_ALIGNED = "axis_aligned_motion"
-
-
-@dataclass(frozen=True)
-class ExcitationSample:
-    """Inputs of the observability determinant at one timestep."""
-
-    h_a: np.ndarray        # (2,) ego-velocity of radar a
-    omega_gamma: float     # unscaled turn rate
-    alpha_gamma: float     # time derivative of omega_gamma
-    theta_t: float         # translation axis angle
 
 
 @dataclass
@@ -84,55 +74,56 @@ class ExcitationReport:
     flags: list[str] = field(default_factory=list)
 
 
-def observability_det(sample: ExcitationSample) -> float:
-    """Observability determinant at one timestep.
+def observability_det(h_a, alpha_gamma, theta_t: float):
+    """Observability determinant at one timestep or at each of M.
 
     ``alpha_gamma * (h_a_x * sin(theta_t) - h_a_y * cos(theta_t))``: the
     angular acceleration times the component of the ego-velocity
     perpendicular to the translation axis (positive when the axis is
-    counterclockwise of the velocity).
+    counterclockwise of the velocity).  ``h_a`` is one velocity (2,) or a
+    stack (M, 2), with ``alpha_gamma`` a scalar or (M,); a float comes back
+    when the result is a single value.
     """
-    h = np.asarray(sample.h_a, dtype=float)
-    if h.shape != (2,) or not np.all(np.isfinite(h)):
-        raise InvalidArgumentError("sample.h_a must be a finite 2-vector")
-    cross = h[0] * math.sin(sample.theta_t) - h[1] * math.cos(sample.theta_t)
-    return float(sample.alpha_gamma * cross)
+    h = np.asarray(h_a, dtype=float)
+    if h.ndim not in (1, 2) or h.shape[-1] != 2 or not np.all(np.isfinite(h)):
+        raise InvalidArgumentError("h_a must hold finite 2-vectors")
+    det = alpha_gamma * (h[..., 0] * math.sin(theta_t) - h[..., 1] * math.cos(theta_t))
+    return det if np.ndim(det) else float(det)
 
 
 def excitation_report(
-    pairs,
+    pairs: MeasurementPairs,
     extrinsics_guess: Extrinsics,
     thresholds: ExcitationThresholds | None = None,
 ) -> ExcitationReport:
     """Classify every timestep of a dataset and aggregate the verdicts.
 
     Motion states come from the closed-form per-timestep fit at the guessed
-    extrinsics, weighted with the covariance floor ``pairs`` was unpacked with
-    (``COV_FLOOR`` for a list); the angular acceleration is their central
-    finite difference (one-sided at the ends).  Needs at least three pairs.
+    extrinsics, weighted with the default covariance floor ``COV_FLOOR``;
+    the angular acceleration is their central finite difference (one-sided
+    at the ends).  Needs at least three pairs.
     """
-    return _excitation_report(_pair_data(pairs), extrinsics_guess, thresholds)[0]
+    return _excitation_report(pairs, _weights(pairs), extrinsics_guess, thresholds)[0]
 
 
-def _excitation_report(data, extrinsics_guess: Extrinsics, thresholds):
-    """:func:`excitation_report` of unpacked pairs, plus the motion fit ``(v, w)``
-    at the guess, from which the solver starts its descent."""
+def _excitation_report(pairs: MeasurementPairs, wt, extrinsics_guess: Extrinsics, thresholds):
+    """:func:`excitation_report` with the solver's weights ``wt``, plus the
+    motion fit ``(v, w)`` at the guess, from which the solver starts its descent."""
     thr = thresholds or ExcitationThresholds()
-    if data.n < 3:
-        raise InsufficientDataError(
-            f"excitation analysis needs >= 3 pairs, got {data.n}"
-        )
-    if np.any(np.diff(data.timestamps) <= 0):
+    M = len(pairs)
+    if M < 3:
+        raise InsufficientDataError(f"excitation analysis needs >= 3 pairs, got {M}")
+    if np.any(np.diff(pairs.timestamps) <= 0):
         raise InvalidArgumentError("pair timestamps must be strictly increasing")
 
     theta_t = extrinsics_guess.theta_t
-    v, w = _motion_from_data(data, theta_t, extrinsics_guess.theta_ba)
-    alpha = np.gradient(w, data.timestamps)
+    v, w = _motion_from_data(pairs, wt, theta_t, extrinsics_guess.theta_ba)
+    alpha = np.gradient(w, pairs.timestamps)
 
-    speeds = np.hypot(data.ha[:, 0], data.ha[:, 1])
-    cross = data.ha[:, 0] * math.sin(theta_t) - data.ha[:, 1] * math.cos(theta_t)
-    dets = alpha * cross
-    abs_dets = np.abs(dets)
+    ha = pairs.h_a
+    speeds = np.hypot(ha[:, 0], ha[:, 1])
+    cross = observability_det(ha, 1.0, theta_t)  # the velocity's component across the axis
+    abs_dets = np.abs(observability_det(ha, alpha, theta_t))
 
     # Floor the alpha scale: on rotation-free data the finite differences
     # are pure roundoff, and a threshold built from them would classify
@@ -152,11 +143,11 @@ def _excitation_report(data, extrinsics_guess: Extrinsics, thresholds):
     if np.mean(dead) >= thr.flag_fraction:
         flags.append(FLAG_ZERO_VELOCITY)
     moving = speeds > thr.speed_floor
-    aligned = np.zeros(data.n, dtype=bool)
+    aligned = np.zeros(M, dtype=bool)
     aligned[moving] = np.abs(cross[moving]) <= thr.align_tol * speeds[moving]
     aligned_flag = bool(np.mean(aligned) >= thr.flag_fraction)
     if not aligned_flag and np.count_nonzero(moving) >= 2:
-        dirs = np.arctan2(data.ha[moving, 1], data.ha[moving, 0])
+        dirs = np.arctan2(ha[moving, 1], ha[moving, 0])
         folded = wrap_axis(dirs)
         center = circular_median(folded, math.pi)
         dev = np.abs(folded - center)
@@ -172,6 +163,6 @@ def _excitation_report(data, extrinsics_guess: Extrinsics, thresholds):
         min_abs_det=float(np.min(abs_dets)),
         mean_abs_det=float(np.mean(abs_dets)),
         det_threshold=float(det_threshold),
-        n_samples=data.n,
+        n_samples=M,
         flags=flags,
     ), (v, w)

@@ -39,8 +39,7 @@ from .calib_solver import (
     DEFAULT_MIN_SPEED,
     CalibrationReport,
     Extrinsics,
-    MeasurementPair,
-    MotionState,
+    MeasurementPairs,
     SolverOptions,
 )
 from .ego_velocity import (
@@ -197,26 +196,26 @@ def load_scans(path) -> dict[str, list[RadarScan]]:
 # Pair files
 
 
-def save_pairs(pairs, path):
+# Columns of a pair record: timestamp, h_a, cov_a upper triangle, h_b, cov_b upper triangle.
+_COV_A_COLS = [3, 4, 4, 5]
+_COV_B_COLS = [8, 9, 9, 10]
+
+
+def save_pairs(pairs: MeasurementPairs, path):
+    ca, cb = pairs.cov_a, pairs.cov_b
+    rows = np.column_stack([
+        pairs.timestamps, pairs.h_a, ca[:, 0, 0], ca[:, 0, 1], ca[:, 1, 1],
+        pairs.h_b, cb[:, 0, 0], cb[:, 0, 1], cb[:, 1, 1],
+    ])
     with open(path, "w") as fh:
         fh.write(PAIRS_HEADER + "\n")
-        for p in pairs:
-            ca = np.asarray(p.cov_a, dtype=float)
-            cb = np.asarray(p.cov_b, dtype=float)
-            toks = [
-                _fmt(p.timestamp),
-                _fmt(p.h_a[0]), _fmt(p.h_a[1]),
-                _fmt(ca[0, 0]), _fmt(ca[0, 1]), _fmt(ca[1, 1]),
-                _fmt(p.h_b[0]), _fmt(p.h_b[1]),
-                _fmt(cb[0, 0]), _fmt(cb[0, 1]), _fmt(cb[1, 1]),
-            ]
-            fh.write(" ".join(toks) + "\n")
+        fh.writelines(" ".join(map(_fmt, row)) + "\n" for row in rows.tolist())
 
 
-def load_pairs(path) -> list[MeasurementPair]:
+def load_pairs(path) -> MeasurementPairs:
     """Read a pairs file; records may come in any order and are returned
     sorted by timestamp."""
-    pairs = []
+    rows = []
     seen = set()
     with open(path) as fh:
         _check_header(fh.readline(), PAIRS_HEADER)
@@ -228,21 +227,19 @@ def load_pairs(path) -> list[MeasurementPair]:
             if len(toks) != 11:
                 raise ParseError(f"pair record needs 11 fields, got {len(toks)}", lineno)
             vals = [_parse_float(t, lineno, "pair field") for t in toks]
-            ts = vals[0]
-            if ts in seen:
-                raise ParseError(f"duplicate pair timestamp {ts!r}", lineno)
-            seen.add(ts)
-            pairs.append(
-                MeasurementPair(
-                    h_a=np.array(vals[1:3]),
-                    cov_a=np.array([[vals[3], vals[4]], [vals[4], vals[5]]]),
-                    h_b=np.array(vals[6:8]),
-                    cov_b=np.array([[vals[8], vals[9]], [vals[9], vals[10]]]),
-                    timestamp=ts,
-                )
-            )
-    pairs.sort(key=lambda p: p.timestamp)
-    return pairs
+            if vals[0] in seen:
+                raise ParseError(f"duplicate pair timestamp {vals[0]!r}", lineno)
+            seen.add(vals[0])
+            rows.append(vals)
+    arr = np.array(rows, dtype=float).reshape(-1, 11)
+    arr = arr[np.argsort(arr[:, 0], kind="stable")]
+    return MeasurementPairs(
+        timestamps=arr[:, 0],
+        h_a=arr[:, 1:3],
+        h_b=arr[:, 6:8],
+        cov_a=arr[:, _COV_A_COLS].reshape(-1, 2, 2),
+        cov_b=arr[:, _COV_B_COLS].reshape(-1, 2, 2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +328,21 @@ def estimate_stream(scans: list[RadarScan], config: RansacConfig) -> list[EgoVel
     return out
 
 
+def _stacked(stream: list[EgoVelocityEstimate]):
+    """Timestamps (n,), velocities (n, 2) and covariances (n, 2, 2) of a
+    stream, in a stable sort by timestamp."""
+    ts = np.array([e.timestamp for e in stream], dtype=float)
+    order = np.argsort(ts, kind="stable")
+    v = np.array([e.velocity for e in stream], dtype=float).reshape(-1, 2)
+    c = np.array([e.covariance for e in stream], dtype=float).reshape(-1, 2, 2)
+    return ts[order], v[order], c[order]
+
+
 def synchronize(
     stream_a: list[EgoVelocityEstimate],
     stream_b: list[EgoVelocityEstimate],
     max_gap: float = DEFAULT_MAX_GAP,
-) -> list[MeasurementPair]:
+) -> MeasurementPairs:
     """Pair the streams on radar a's clock.
 
     Radar b's velocity is linearly interpolated between its bracketing
@@ -347,41 +354,25 @@ def synchronize(
     """
     if not max_gap > 0:
         raise InvalidArgumentError("max_gap must be positive")
-    a_sorted = sorted(stream_a, key=lambda e: e.timestamp)
-    b_sorted = sorted(stream_b, key=lambda e: e.timestamp)
-    if not a_sorted or not b_sorted:
-        return []
-    tb = np.array([e.timestamp for e in b_sorted])
-    vb = np.array([e.velocity for e in b_sorted])
-    cb = np.array([e.covariance for e in b_sorted])
-    pairs = []
-    for est in a_sorted:
-        t = est.timestamp
-        idx = int(np.searchsorted(tb, t))
-        if idx < tb.size and tb[idx] == t:
-            hb, cov_b = vb[idx], cb[idx]
-        else:
-            if idx == 0 or idx >= tb.size:
-                continue
-            gap = tb[idx] - tb[idx - 1]
-            if gap > max_gap:
-                continue
-            lam = (t - tb[idx - 1]) / gap
-            hb = (1.0 - lam) * vb[idx - 1] + lam * vb[idx]
-            cov_b = np.maximum(cb[idx - 1], cb[idx])
-        pairs.append(
-            MeasurementPair(
-                h_a=np.asarray(est.velocity, dtype=float).copy(),
-                h_b=np.asarray(hb, dtype=float).copy(),
-                cov_a=np.asarray(est.covariance, dtype=float).copy(),
-                cov_b=np.asarray(cov_b, dtype=float).copy(),
-                timestamp=t,
-            )
-        )
-    return pairs
+    ta, va, ca = _stacked(stream_a)
+    tb, vb, cb = _stacked(stream_b)
+    if tb.size == 0:
+        return MeasurementPairs(ta[:0], va[:0], va[:0], ca[:0], ca[:0])
+    idx = np.searchsorted(tb, ta)
+    hi = np.minimum(idx, tb.size - 1)
+    exact = tb[hi] == ta
+    gap = tb[hi] - tb[np.maximum(idx - 1, 0)]
+    interp = ~exact & (idx > 0) & (idx < tb.size) & ~(gap > max_gap)
+    i = idx[interp]
+    lam = (ta[interp] - tb[i - 1]) / gap[interp]
+    h_b, cov_b = vb[hi], cb[hi]
+    h_b[interp] = (1.0 - lam)[:, None] * vb[i - 1] + lam[:, None] * vb[i]
+    cov_b[interp] = np.maximum(cb[i - 1], cb[i])
+    keep = exact | interp
+    return MeasurementPairs(ta[keep], va[keep], h_b[keep], ca[keep], cov_b[keep])
 
 
-def filter_pairs(pairs, min_speed: float = DEFAULT_MIN_SPEED) -> list[MeasurementPair]:
+def filter_pairs(pairs: MeasurementPairs, min_speed: float = DEFAULT_MIN_SPEED) -> MeasurementPairs:
     """Drop pairs where either radar reports a speed below ``min_speed``.
 
     Near-standstill velocities carry no direction information and would let
@@ -389,13 +380,9 @@ def filter_pairs(pairs, min_speed: float = DEFAULT_MIN_SPEED) -> list[Measuremen
     """
     if not min_speed >= 0:
         raise InvalidArgumentError("min_speed must be >= 0")
-    out = []
-    for p in pairs:
-        sa = math.hypot(float(p.h_a[0]), float(p.h_a[1]))
-        sb = math.hypot(float(p.h_b[0]), float(p.h_b[1]))
-        if sa >= min_speed and sb >= min_speed:
-            out.append(p)
-    return out
+    sa = np.hypot(pairs.h_a[:, 0], pairs.h_a[:, 1])
+    sb = np.hypot(pairs.h_b[:, 0], pairs.h_b[:, 1])
+    return pairs[(sa >= min_speed) & (sb >= min_speed)]
 
 
 # ---------------------------------------------------------------------------
@@ -519,16 +506,39 @@ def excitation_to_dict(rep: ExcitationReport) -> dict:
     }
 
 
+def _field(d, key: str, what: str):
+    """``d[key]`` of a JSON object; a missing key names the field."""
+    if not isinstance(d, dict) or key not in d:
+        raise ParseError(f"{what} lacks field {key!r}")
+    return d[key]
+
+
+def _array_field(d, key: str, what: str, shape: tuple) -> np.ndarray:
+    """Field ``key`` as a float array of ``shape``; a ``None`` length matches any."""
+    try:
+        arr = np.array(_field(d, key, what), dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError(f"{what} field {key!r} is not numeric") from None
+    if arr.ndim != len(shape) or any(n is not None and n != k for n, k in zip(shape, arr.shape)):
+        want = "(" + ", ".join("M" if n is None else str(n) for n in shape) + ")"
+        raise ParseError(f"{what} field {key!r} has shape {arr.shape}, expected {want}")
+    return arr
+
+
 def excitation_from_dict(d: dict) -> ExcitationReport:
-    if d.get("format") != EXCITATION_FORMAT:
-        raise ParseError(f"not an excitation report: format {d.get('format')!r}")
+    what = "excitation report"
+    if _field(d, "format", what) != EXCITATION_FORMAT:
+        raise ParseError(f"not an excitation report: format {d['format']!r}")
+    flags = _field(d, "flags", what)
+    if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+        raise ParseError(f"{what} field 'flags' is not a list of names")
     return ExcitationReport(
-        fraction_degenerate=d["fraction_degenerate"],
-        min_abs_det=d["min_abs_det"],
-        mean_abs_det=d["mean_abs_det"],
-        det_threshold=d["det_threshold"],
-        n_samples=d["n_samples"],
-        flags=list(d["flags"]),
+        fraction_degenerate=_field(d, "fraction_degenerate", what),
+        min_abs_det=_field(d, "min_abs_det", what),
+        mean_abs_det=_field(d, "mean_abs_det", what),
+        det_threshold=_field(d, "det_threshold", what),
+        n_samples=_field(d, "n_samples", what),
+        flags=list(flags),
     )
 
 
@@ -546,34 +556,38 @@ def report_to_dict(report: CalibrationReport) -> dict:
         "extrinsic_covariance": np.asarray(report.extrinsic_covariance).tolist(),
         "excitation": None if report.excitation is None else excitation_to_dict(report.excitation),
         "timestamps": np.asarray(report.timestamps).tolist(),
-        "fused_motion": [
-            [float(m.v_a[0]), float(m.v_a[1]), float(m.omega_gamma)]
-            for m in report.fused_motion
-        ],
+        "fused_motion": np.column_stack([report.v_a, report.omega_gamma]).tolist(),
         "mean_velocity_error": report.mean_velocity_error,
         "velocity_error_table": report.velocity_error_table,
     }
 
 
 def report_from_dict(d: dict) -> CalibrationReport:
-    if d.get("format") != REPORT_FORMAT:
-        raise ParseError(f"not a calibration report: format {d.get('format')!r}")
+    """A calibration report from its JSON form; a missing field, or an array
+    field of the wrong shape, raises ParseError naming the field."""
+    what = "calibration report"
+    if _field(d, "format", what) != REPORT_FORMAT:
+        raise ParseError(f"not a calibration report: format {d['format']!r}")
+    ext = _field(d, "extrinsics", what)
+    timestamps = _array_field(d, "timestamps", what, (None,))
+    motion = _array_field(d, "fused_motion", what, (timestamps.size, 3))
+    excitation = _field(d, "excitation", what)
     return CalibrationReport(
         extrinsics=Extrinsics(
-            theta_t=d["extrinsics"]["theta_t"], theta_ba=d["extrinsics"]["theta_ba"]
+            theta_t=float(_array_field(ext, "theta_t", "report extrinsics", ())),
+            theta_ba=float(_array_field(ext, "theta_ba", "report extrinsics", ())),
         ),
-        extrinsic_covariance=np.array(d["extrinsic_covariance"]),
-        final_cost=d["final_cost"],
-        iterations=d["iterations"],
-        converged=d["converged"],
-        termination=d["termination"],
-        excitation=None if d["excitation"] is None else excitation_from_dict(d["excitation"]),
-        fused_motion=[
-            MotionState(v_a=np.array(row[0:2]), omega_gamma=row[2]) for row in d["fused_motion"]
-        ],
-        timestamps=np.array(d["timestamps"]),
-        mean_velocity_error=d["mean_velocity_error"],
-        velocity_error_table=d["velocity_error_table"],
+        extrinsic_covariance=_array_field(d, "extrinsic_covariance", what, (2, 2)),
+        final_cost=_field(d, "final_cost", what),
+        iterations=_field(d, "iterations", what),
+        converged=_field(d, "converged", what),
+        termination=_field(d, "termination", what),
+        excitation=None if excitation is None else excitation_from_dict(excitation),
+        v_a=motion[:, :2],
+        omega_gamma=motion[:, 2],
+        timestamps=timestamps,
+        mean_velocity_error=_field(d, "mean_velocity_error", what),
+        velocity_error_table=_field(d, "velocity_error_table", what),
     )
 
 

@@ -176,7 +176,7 @@ def recover_scale(
     if reference.timestamps.size < 2:
         raise InsufficientExcitationError("reference series too short to interpolate")
     ts = np.asarray(report.timestamps, dtype=float)
-    wg = np.array([m.omega_gamma for m in report.fused_motion], dtype=float)
+    wg = np.asarray(report.omega_gamma, dtype=float)
     inside = (ts >= reference.timestamps[0]) & (ts <= reference.timestamps[-1])
     ref = np.interp(ts[inside], reference.timestamps, reference.omega)
     wg = wg[inside]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calib_solver import Extrinsics, MeasurementPair
+from .calib_solver import Extrinsics, MeasurementPairs
 from .ego_velocity import Detection, RadarScan
 from .errors import InvalidArgumentError
 from .geometry import rot2, wrap_axis, wrap_to_pi
@@ -213,7 +213,7 @@ def generate_trajectory(
     )
 
 
-def simulate_pairs(truth: GroundTruth, noise: NoiseSpec, rng_seed=0) -> list[MeasurementPair]:
+def simulate_pairs(truth: GroundTruth, noise: NoiseSpec, rng_seed=0) -> MeasurementPairs:
     """Velocity-level measurement pairs: exact model values plus noise.
 
     Both radars get independent isotropic Gaussian noise of ``sigma_r`` per
@@ -224,17 +224,10 @@ def simulate_pairs(truth: GroundTruth, noise: NoiseSpec, rng_seed=0) -> list[Mea
     m = len(truth.timestamps)
     ha = truth.v_a + noise.sigma_r * rng.standard_normal((m, 2))
     hb = truth.model_h_b() + noise.sigma_r * rng.standard_normal((m, 2))
-    cov = noise.sigma_r ** 2 * np.eye(2)
-    return [
-        MeasurementPair(
-            h_a=ha[j],
-            h_b=hb[j],
-            cov_a=cov.copy(),
-            cov_b=cov.copy(),
-            timestamp=float(truth.timestamps[j]),
-        )
-        for j in range(m)
-    ]
+    cov = np.tile(noise.sigma_r ** 2 * np.eye(2), (m, 1, 1))
+    return MeasurementPairs(
+        timestamps=truth.timestamps.copy(), h_a=ha, h_b=hb, cov_a=cov, cov_b=cov.copy()
+    )
 
 
 def sample_landmarks(

@@ -17,7 +17,7 @@ from radarcal.calib_solver import (
     COV_FLOOR,
     CalibState,
     Extrinsics,
-    MeasurementPair,
+    MeasurementPairs,
     fused_ego_velocities,
     init_motion_states,
     jacobian,
@@ -67,6 +67,16 @@ def _angle_errors_deg(report, truth) -> tuple[float, float]:
     d_t = min(d_t, math.pi - d_t)
     d_b = abs(wrap_to_pi(report.extrinsics.theta_ba - truth.extrinsics.theta_ba))
     return math.degrees(d_t), math.degrees(d_b)
+
+
+def _random_pairs(rng, covs):
+    """Uniform random velocities in [-2, 2), drawn pair by pair (a, then b),
+    with ``covs`` alternating between the radars; pairs 0.1 s apart."""
+    m = len(covs) // 2
+    h = np.array([(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)) for _ in range(m)])
+    return MeasurementPairs(
+        timestamps=0.1 * np.arange(m), h_a=h[:, 0], h_b=h[:, 1], cov_a=covs[0::2], cov_b=covs[1::2]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +162,9 @@ def test_acceptance_03_exact_recovery():
     d_t = abs(report.extrinsics.theta_t - truth.extrinsics.theta_t)
     d_t = min(d_t, math.pi - d_t)
     d_b = abs(wrap_to_pi(report.extrinsics.theta_ba - truth.extrinsics.theta_ba))
-    v = np.array([m.v_a for m in report.fused_motion])
-    w = np.array([m.omega_gamma for m in report.fused_motion])
     motion_err = max(
-        float(np.max(np.abs(v - truth.v_a))), float(np.max(np.abs(w - truth.omega_gamma)))
+        float(np.max(np.abs(report.v_a - truth.v_a))),
+        float(np.max(np.abs(report.omega_gamma - truth.omega_gamma))),
     )
     ok = d_t < 1e-6 and d_b < 1e-6 and motion_err < 1e-8
     _verdict(
@@ -177,16 +186,7 @@ def test_acceptance_04_scale_ambiguity_invariance():
     for _ in range(2 * m):
         a = rng.standard_normal((2, 2))
         covs.append(0.01 * (a @ a.T + 0.5 * np.eye(2)))
-    pairs = [
-        MeasurementPair(
-            h_a=rng.uniform(-2, 2, 2),
-            h_b=rng.uniform(-2, 2, 2),
-            cov_a=covs[2 * j],
-            cov_b=covs[2 * j + 1],
-            timestamp=0.1 * j,
-        )
-        for j in range(m)
-    ]
+    pairs = _random_pairs(rng, covs)
     worst = 0.0
     for _ in range(100):
         v = rng.uniform(-2, 2, (m, 2))
@@ -245,16 +245,7 @@ def test_acceptance_06_jacobian_correctness():
         for _ in range(2 * m):
             a = rng.standard_normal((2, 2))
             covs.append(0.0025 * (a @ a.T + 0.5 * np.eye(2)))
-        pairs = [
-            MeasurementPair(
-                h_a=rng.uniform(-2, 2, 2),
-                h_b=rng.uniform(-2, 2, 2),
-                cov_a=covs[2 * j],
-                cov_b=covs[2 * j + 1],
-                timestamp=0.1 * j,
-            )
-            for j in range(m)
-        ]
+        pairs = _random_pairs(rng, covs)
         x0 = rng.uniform(-1.5, 1.5, 3 * m + 2)
 
         def state(x):
@@ -327,10 +318,7 @@ def _grid_costs(pairs, tts, tbs):
     that covariance.  ``d`` and ``H`` depend on theta_ba alone, so the loop
     runs over theta_ba and vectorizes over theta_t and the pairs.
     """
-    ha = np.array([p.h_a for p in pairs], dtype=float)
-    hb = np.array([p.h_b for p in pairs], dtype=float)
-    Ca = np.array([p.cov_a for p in pairs], dtype=float)
-    Cb = np.array([p.cov_b for p in pairs], dtype=float)
+    ha, hb, Ca, Cb = pairs.h_a, pairs.h_b, pairs.cov_a, pairs.cov_b
     u = np.stack([-np.sin(tts), np.cos(tts)], axis=1)  # (T, 2)
 
     best = math.inf
@@ -353,13 +341,7 @@ def _grid_costs(pairs, tts, tbs):
 
 def _point_cost(pairs, theta_t, theta_ba):
     ext = Extrinsics(theta_t=theta_t, theta_ba=theta_ba)
-    states = init_motion_states(pairs, ext)
-    st = CalibState(
-        v_a=np.array([s.v_a for s in states]),
-        omega_gamma=np.array([s.omega_gamma for s in states]),
-        extrinsics=ext,
-    )
-    r = residuals(st, pairs)
+    r = residuals(init_motion_states(pairs, ext), pairs)
     return float(r @ r)
 
 

@@ -10,10 +10,10 @@ from radarcal.calib_solver import (
     COV_FLOOR,
     CalibState,
     Extrinsics,
-    MeasurementPair,
+    MeasurementPairs,
     SolverOptions,
-    _pair_data,
     _profile_costs,
+    _weights,
     assess_excitation,
     fused_ego_velocities,
     init_motion_states,
@@ -46,10 +46,7 @@ def pairs_from_arrays(ha, hb, cov_a=None, cov_b=None, ts=None):
         cov_b = [0.01 * np.eye(2)] * m
     if ts is None:
         ts = np.arange(m) * 0.1
-    return [
-        MeasurementPair(h_a=ha[j], h_b=hb[j], cov_a=cov_a[j], cov_b=cov_b[j], timestamp=ts[j])
-        for j in range(m)
-    ]
+    return MeasurementPairs(timestamps=ts, h_a=ha, h_b=hb, cov_a=cov_a, cov_b=cov_b)
 
 
 def model_pairs(v, w, theta_t, theta_ba, **kw):
@@ -72,6 +69,29 @@ def periodic_pairs(sigma, duration=15.0, seed=0, **traj_kw):
         TrajectoryProfile(kind="periodic_default", duration=duration), **traj_kw
     )
     return truth, simulate_pairs(truth, NoiseSpec(sigma_r=sigma), rng_seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# the pairs type
+
+
+def test_measurement_pairs_validate_once_and_select_pairs():
+    _, pairs = periodic_pairs(sigma=0.1)
+    assert len(pairs) == 150
+    for key in (slice(3, 9), pairs.timestamps < 1.0, np.array([4, 2, 2])):
+        sub = pairs[key]
+        assert isinstance(sub, MeasurementPairs)
+        for name in ("timestamps", "h_a", "h_b", "cov_a", "cov_b"):
+            np.testing.assert_array_equal(getattr(sub, name), getattr(pairs, name)[key])
+    for bad in ({"h_b": pairs.h_b[:-1]}, {"cov_a": pairs.cov_a[:, 0]}, {"timestamps": 0.0}):
+        with pytest.raises(InvalidArgumentError, match="wrong shapes"):
+            dataclasses.replace(pairs, **bad)
+    ts = pairs.timestamps.copy()
+    ts[3] = math.inf
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        dataclasses.replace(pairs, timestamps=ts)
+    with pytest.raises(InsufficientDataError, match="no measurement pairs"):
+        solve_lm(pairs[:0])
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +120,7 @@ def test_init_rotation_rejects_slow_and_empty_input():
     with pytest.raises(InsufficientDataError):
         init_rotation(slow)
     with pytest.raises(InsufficientDataError):
-        init_rotation([])
+        init_rotation(slow[:0])
 
 
 def test_init_translation_axis_recovers_lever_direction():
@@ -125,14 +145,16 @@ def test_init_translation_axis_needs_rotational_signal():
 @pytest.mark.parametrize("init", ["rotation", "axis"])
 def test_init_rejects_non_finite_pairs(init):
     # A NaN pair fails every speed and lever comparison, so without the
-    # validation it would be dropped silently.
+    # validation it would be dropped silently.  The pairs refuse it when built.
     _, pairs = periodic_pairs(sigma=0.05)
-    pairs[7].h_b = np.array([math.nan, 1.0])
+    h_b = pairs.h_b.copy()
+    h_b[7] = [math.nan, 1.0]
     with pytest.raises(InvalidArgumentError, match="non-finite"):
+        bad = dataclasses.replace(pairs, h_b=h_b)
         if init == "rotation":
-            init_rotation(pairs)
+            init_rotation(bad)
         else:
-            init_translation_axis(pairs, theta_ba=0.3)
+            init_translation_axis(bad, theta_ba=0.3)
 
 
 def test_init_motion_states_match_dense_least_squares():
@@ -144,11 +166,12 @@ def test_init_motion_states_match_dense_least_squares():
     cov_b = [random_spd(rng) for _ in range(m)]
     pairs = pairs_from_arrays(ha, hb, cov_a, cov_b)
     ext = Extrinsics(theta_t=0.9, theta_ba=-1.3)
-    states = init_motion_states(pairs, ext)
+    state = init_motion_states(pairs, ext)
+    assert state.extrinsics == ext
 
     R = rot2(ext.theta_ba)
     u = lever_unit(ext.theta_t)
-    for j, st in enumerate(states):
+    for j in range(m):
         Wa = np.linalg.cholesky(np.linalg.inv(cov_a[j] + COV_FLOOR * np.eye(2))).T
         Wb = np.linalg.cholesky(np.linalg.inv(cov_b[j] + COV_FLOOR * np.eye(2))).T
         G = np.zeros((4, 3))
@@ -157,8 +180,8 @@ def test_init_motion_states_match_dense_least_squares():
         G[2:4, 2] = Wb @ R @ u
         y = np.concatenate([Wa @ ha[j], Wb @ hb[j]])
         z, *_ = np.linalg.lstsq(G, y, rcond=None)
-        np.testing.assert_allclose(st.v_a, z[:2], atol=1e-8)
-        assert abs(st.omega_gamma - z[2]) < 1e-8
+        np.testing.assert_allclose(state.v_a[j], z[:2], atol=1e-8)
+        assert abs(state.omega_gamma[j] - z[2]) < 1e-8
 
 
 def test_profile_costs_match_point_api():
@@ -173,18 +196,12 @@ def test_profile_costs_match_point_api():
     pairs = pairs_from_arrays(ha, hb, cov_a, cov_b)
     t_grid = rng.uniform(0.0, math.pi, 5)
     ba_grid = rng.uniform(-math.pi, math.pi, 5)
-    costs = _profile_costs(_pair_data(pairs), t_grid, ba_grid)
+    costs = _profile_costs(pairs, _weights(pairs), t_grid, ba_grid)
     assert costs.shape == (5, 5)
     for i, tt in enumerate(t_grid):
         for j, tb in enumerate(ba_grid):
             ext = Extrinsics(theta_t=float(tt), theta_ba=float(tb))
-            states = init_motion_states(pairs, ext)
-            st = CalibState(
-                v_a=np.array([s.v_a for s in states]),
-                omega_gamma=np.array([s.omega_gamma for s in states]),
-                extrinsics=ext,
-            )
-            r = residuals(st, pairs)
+            r = residuals(init_motion_states(pairs, ext), pairs)
             assert abs(costs[i, j] - r @ r) <= 1e-12 * (r @ r)
 
 
@@ -332,10 +349,8 @@ def test_solve_noise_free_recovers_everything():
     d_t = abs(report.extrinsics.theta_t - truth.extrinsics.theta_t)
     assert min(d_t, math.pi - d_t) < 1e-8
     assert abs(wrap_to_pi(report.extrinsics.theta_ba - truth.extrinsics.theta_ba)) < 1e-8
-    v = np.array([m.v_a for m in report.fused_motion])
-    w = np.array([m.omega_gamma for m in report.fused_motion])
-    np.testing.assert_allclose(v, truth.v_a, atol=1e-8)
-    np.testing.assert_allclose(w, truth.omega_gamma, atol=1e-8)
+    np.testing.assert_allclose(report.v_a, truth.v_a, atol=1e-8)
+    np.testing.assert_allclose(report.omega_gamma, truth.omega_gamma, atol=1e-8)
     assert report.final_cost < 1e-12
 
 
@@ -352,8 +367,7 @@ def test_solve_folds_axis_into_canonical_range():
     report = solve_lm(pairs)
     assert 0.0 <= report.extrinsics.theta_t < math.pi
     assert abs(report.extrinsics.theta_t - truth.extrinsics.theta_t) < 1e-8
-    w = np.array([m.omega_gamma for m in report.fused_motion])
-    np.testing.assert_allclose(w, truth.omega_gamma, atol=1e-8)
+    np.testing.assert_allclose(report.omega_gamma, truth.omega_gamma, atol=1e-8)
 
 
 def test_solve_report_quantile_table_shape():
@@ -380,27 +394,26 @@ def test_solve_requires_two_pairs_and_excitation_check_three():
 @pytest.mark.parametrize("radar", ["a", "b"])
 def test_solve_rejects_non_finite_covariance(radar):
     truth, pairs = periodic_pairs(sigma=0.1)
-    cov = getattr(pairs[5], f"cov_{radar}").copy()
-    cov[0, 1] = math.nan
-    setattr(pairs[5], f"cov_{radar}", cov)
+    cov = getattr(pairs, f"cov_{radar}").copy()
+    cov[5, 0, 1] = math.nan
     with pytest.raises(InvalidArgumentError, match=f"radar {radar} covariance"):
-        solve_lm(pairs)
+        solve_lm(dataclasses.replace(pairs, **{f"cov_{radar}": cov}))
 
 
 def test_solve_converts_pairs_once(monkeypatch):
-    list_calls = []
-    real = calib_solver._pair_data
+    # one solve inverts the covariances into weights once, shared by every stage
+    calls = []
+    real = calib_solver._weights
 
     def counting(pairs, *args, **kwargs):
-        if isinstance(pairs, list):
-            list_calls.append(len(pairs))
+        calls.append(len(pairs))
         return real(pairs, *args, **kwargs)
 
-    monkeypatch.setattr(calib_solver, "_pair_data", counting)
-    monkeypatch.setattr(identifiability, "_pair_data", counting)
+    monkeypatch.setattr(calib_solver, "_weights", counting)
+    monkeypatch.setattr(identifiability, "_weights", counting)
     _, pairs = periodic_pairs(sigma=0.05)
     solve_lm(pairs)
-    assert list_calls == [len(pairs)]
+    assert calls == [len(pairs)]
 
 
 @pytest.mark.parametrize("duration", [15.0, 5.0])  # M = 150 runs one LM start, M = 50 two
@@ -408,9 +421,9 @@ def test_solve_fits_the_motion_once_per_start(monkeypatch, duration):
     starts = []
     real = calib_solver._motion_from_data
 
-    def counting(data, theta_t, theta_ba):
+    def counting(pairs, wt, theta_t, theta_ba):
         starts.append((theta_t, theta_ba))
-        return real(data, theta_t, theta_ba)
+        return real(pairs, wt, theta_t, theta_ba)
 
     _, pairs = periodic_pairs(sigma=0.05, duration=duration)
     guess = assess_excitation(pairs).guess
@@ -424,11 +437,14 @@ def test_solve_fits_the_motion_once_per_start(monkeypatch, duration):
 def test_excitation_check_uses_solver_cov_floor():
     rng = np.random.default_rng(5)
     _, pairs = periodic_pairs(sigma=0.1, seed=4)
-    for p in pairs:
-        p.cov_a = random_spd(rng, scale=rng.uniform(0.02, 0.5))
-        p.cov_b = random_spd(rng, scale=rng.uniform(0.02, 0.5))
+    covs = np.array([
+        [random_spd(rng, scale=rng.uniform(0.02, 0.5)) for _ in "ab"] for _ in range(len(pairs))
+    ])
+    pairs = dataclasses.replace(pairs, cov_a=covs[:, 0], cov_b=covs[:, 1])
     verdict = assess_excitation(pairs, SolverOptions(cov_floor=1.0))
-    floored = excitation_report(_pair_data(pairs, 1.0), verdict.guess)
+    floored = identifiability._excitation_report(
+        pairs, _weights(pairs, 1.0), verdict.guess, None
+    )[0]
     assert verdict.report == floored
     assert excitation_report(pairs, verdict.guess) != floored
 

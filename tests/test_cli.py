@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 
 import numpy as np
@@ -294,8 +295,7 @@ def test_calibrate_skips_collinear_scan(tmp_path, capsys):
     save_scans(streams, scans_file)
     cal = tmp_path / "cal"
     assert run("calibrate", "--input", scans_file, "--out", cal) == cli.EXIT_OK
-    used = {p.timestamp for p in load_pairs(cal / "used_pairs.txt")}
-    assert scan.timestamp not in used
+    assert scan.timestamp not in load_pairs(cal / "used_pairs.txt").timestamps
     capsys.readouterr()
 
 
@@ -463,6 +463,64 @@ def test_recover_scale_from_rates_and_poses(tmp_path, capsys):
     assert run("recover-scale", "--report", tmp_path / "cal" / "report.json",
                "--rates", rates, "--poses", poses, "--out", tmp_path / "sc3") == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def calibrated(tmp_path_factory):
+    """(pairs file, its report.json, a heading track) of one simulated run."""
+    base = tmp_path_factory.mktemp("calibrated")
+    simulate(base / "sim")
+    pairs = trial_dir(base / "sim") / "pairs.txt"
+    assert run("calibrate", "--input", pairs, "--out", base / "cal") == cli.EXIT_OK
+    poses = base / "poses.csv"
+    poses.write_text("t,heading\n" + "".join(f"{k / 50},{0.5 * k / 50}\n" for k in range(750)))
+    return pairs, base / "cal" / "report.json", poses
+
+
+@pytest.mark.parametrize("flag", ["--heading-sigma", "--min-rate"])
+def test_recover_scale_failure_writes_nothing(tmp_path, calibrated, flag, capsys):
+    _, report, poses = calibrated
+    out = tmp_path / "sc"
+    code = run("recover-scale", "--report", report, "--poses", poses, "--out", out, flag, "nan")
+    assert code == cli.EXIT_USAGE
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["recover-scale", "evaluate"])
+@pytest.mark.parametrize("edit, field", [
+    pytest.param(lambda d: d.pop("timestamps"), "timestamps", id="no-timestamps"),
+    pytest.param(lambda d: d.pop("fused_motion"), "fused_motion", id="no-fused_motion"),
+    pytest.param(lambda d: d["fused_motion"][3].pop(), "fused_motion", id="short-row"),
+    pytest.param(lambda d: d["fused_motion"].pop(), "fused_motion", id="missing-row"),
+    pytest.param(lambda d: d.update(fused_motion="none"), "fused_motion", id="text-rows"),
+    pytest.param(lambda d: d.update(timestamps=[[0.0]]), "timestamps", id="2d-timestamps"),
+    pytest.param(lambda d: d.pop("extrinsics"), "extrinsics", id="no-extrinsics"),
+    pytest.param(lambda d: d["extrinsics"].pop("theta_t"), "theta_t", id="no-theta_t"),
+    pytest.param(lambda d: d.update(extrinsic_covariance=[1.0, 2.0]), "extrinsic_covariance",
+                 id="flat-covariance"),
+    pytest.param(lambda d: d.pop("final_cost"), "final_cost", id="no-final_cost"),
+    pytest.param(lambda d: d["excitation"].pop("flags"), "flags", id="no-excitation-flags"),
+])
+def test_malformed_report_exits_3_naming_the_field(
+    tmp_path, calibrated, command, edit, field, capsys
+):
+    pairs, report, poses = calibrated
+    d = read_json(report)
+    edit(d)
+    bad = tmp_path / "report.json"
+    bad.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    if command == "recover-scale":
+        code = run(command, "--report", bad, "--poses", poses, "--out", out)
+    else:
+        code = run(command, "--input", pairs, "--report", bad, "--out", out)
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(field) in err
+    assert "Traceback" not in err
+    if command == "recover-scale":
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

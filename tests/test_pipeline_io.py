@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from radarcal.calib_solver import MeasurementPair, solve_lm
+from radarcal.calib_solver import MeasurementPairs, solve_lm
 from radarcal.ego_velocity import Detection, EgoVelocityEstimate, RadarScan, RansacConfig
 from radarcal.errors import InvalidArgumentError, ParseError
 from radarcal.pipeline_io import (
@@ -56,19 +56,20 @@ def estimate(ts, v, cov_scale=1e-4):
 
 
 def nasty_pairs():
-    out = []
-    for j, x in enumerate(NASTY):
-        cov = np.array([[abs(x) + 1.0, x / 10.0], [x / 10.0, abs(x) + 2.0]])
-        out.append(
-            MeasurementPair(
-                h_a=np.array([x, -x]),
-                h_b=np.array([x / 7.0, x * 3.0]),
-                cov_a=cov,
-                cov_b=cov * 2.0,
-                timestamp=float(j) + abs(x) % 1.0,
-            )
-        )
-    return out
+    x = np.array(NASTY)
+    cov = np.stack([[np.abs(x) + 1.0, x / 10.0], [x / 10.0, np.abs(x) + 2.0]]).transpose(2, 0, 1)
+    return MeasurementPairs(
+        timestamps=np.arange(x.size) + np.abs(x) % 1.0,
+        h_a=np.stack([x, -x], axis=1),
+        h_b=np.stack([x / 7.0, x * 3.0], axis=1),
+        cov_a=cov,
+        cov_b=cov * 2.0,
+    )
+
+
+def assert_pairs_equal(got, want):
+    for name in ("timestamps", "h_a", "h_b", "cov_a", "cov_b"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +138,7 @@ def test_pairs_round_trip_is_bitwise(tmp_path):
     save_pairs(pairs, path)
     loaded = load_pairs(path)
     assert len(loaded) == len(pairs)
-    for orig, back in zip(pairs, loaded):
-        assert back.timestamp == orig.timestamp
-        np.testing.assert_array_equal(back.h_a, orig.h_a)
-        np.testing.assert_array_equal(back.h_b, orig.h_b)
-        np.testing.assert_array_equal(back.cov_a, orig.cov_a)
-        np.testing.assert_array_equal(back.cov_b, orig.cov_b)
+    assert_pairs_equal(loaded, pairs)
     # a second save of the loaded data reproduces the file byte for byte
     again = tmp_path / "again.txt"
     save_pairs(loaded, again)
@@ -162,7 +158,7 @@ def test_pairs_load_sorted_by_timestamp(tmp_path):
 
 def test_pairs_reject_duplicate_timestamps_and_short_rows(tmp_path):
     pairs = nasty_pairs()[:2]
-    pairs[1].timestamp = pairs[0].timestamp
+    pairs.timestamps[1] = pairs.timestamps[0]
     dup = tmp_path / "dup.txt"
     save_pairs(pairs, dup)
     with pytest.raises(ParseError):
@@ -226,8 +222,8 @@ def test_synchronize_exact_match_passes_through():
     b = [estimate(1.0, [0.5, 0.5], cov_scale=3e-4)]
     pairs = synchronize(a, b)
     assert len(pairs) == 1
-    np.testing.assert_array_equal(pairs[0].h_b, [0.5, 0.5])
-    np.testing.assert_array_equal(pairs[0].cov_b, 3e-4 * np.eye(2))
+    np.testing.assert_array_equal(pairs.h_b[0], [0.5, 0.5])
+    np.testing.assert_array_equal(pairs.cov_b[0], 3e-4 * np.eye(2))
 
 
 def test_synchronize_interpolates_between_brackets():
@@ -236,37 +232,99 @@ def test_synchronize_interpolates_between_brackets():
     b1 = estimate(1.0, [2.0, -4.0], cov_scale=9e-4)
     pairs = synchronize(a, [b1, b0], max_gap=2.0)
     assert len(pairs) == 1
-    np.testing.assert_allclose(pairs[0].h_b, [0.5, -1.0], atol=1e-12)
+    np.testing.assert_allclose(pairs.h_b[0], [0.5, -1.0], atol=1e-12)
     # covariance is the conservative elementwise max of the endpoints
-    np.testing.assert_array_equal(pairs[0].cov_b, 9e-4 * np.eye(2))
-    assert pairs[0].timestamp == 0.25
+    np.testing.assert_array_equal(pairs.cov_b[0], 9e-4 * np.eye(2))
+    assert pairs.timestamps[0] == 0.25
 
 
 def test_synchronize_drops_wide_gaps_and_extrapolation():
     a = [estimate(t, [1.0, 0.0]) for t in (-0.5, 0.25, 9.0)]
     b = [estimate(0.0, [1.0, 1.0]), estimate(1.0, [1.0, 1.0])]
-    assert synchronize(a, b, max_gap=0.5) == []
+    assert len(synchronize(a, b, max_gap=0.5)) == 0
     assert len(synchronize(a, b, max_gap=1.0)) == 1
     with pytest.raises(InvalidArgumentError):
         synchronize(a, b, max_gap=0.0)
-    assert synchronize([], b) == []
+    assert len(synchronize([], b)) == 0
+
+
+def synchronize_reference(stream_a, stream_b, max_gap):
+    """One estimate of radar a at a time: the loop that ``synchronize`` vectorizes.
+
+    Returns the five arrays of the pairs, in field order."""
+    rows = []
+    a_sorted = sorted(stream_a, key=lambda e: e.timestamp)
+    b_sorted = sorted(stream_b, key=lambda e: e.timestamp)
+    tb = np.array([e.timestamp for e in b_sorted])
+    vb = np.array([e.velocity for e in b_sorted])
+    cb = np.array([e.covariance for e in b_sorted])
+    for est in a_sorted if b_sorted else []:
+        t = est.timestamp
+        idx = int(np.searchsorted(tb, t))
+        if idx < tb.size and tb[idx] == t:
+            hb, cov_b = vb[idx], cb[idx]
+        else:
+            if idx == 0 or idx >= tb.size:
+                continue
+            gap = tb[idx] - tb[idx - 1]
+            if gap > max_gap:
+                continue
+            lam = (t - tb[idx - 1]) / gap
+            hb = (1.0 - lam) * vb[idx - 1] + lam * vb[idx]
+            cov_b = np.maximum(cb[idx - 1], cb[idx])
+        rows.append((t, est.velocity, hb, est.covariance, cov_b))
+    shapes = ((-1,), (-1, 2), (-1, 2), (-1, 2, 2), (-1, 2, 2))
+    return [np.array([r[k] for r in rows], dtype=float).reshape(shapes[k]) for k in range(5)]
+
+
+def random_estimates(rng, timestamps):
+    out = []
+    for t in timestamps:
+        a = rng.standard_normal((2, 2))
+        out.append(EgoVelocityEstimate(
+            velocity=rng.uniform(-2.0, 2.0, 2), covariance=1e-3 * (a @ a.T + 0.1 * np.eye(2)),
+            n_inliers=5, n_total=8, timestamp=float(t),
+        ))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_synchronize_matches_per_estimate_loop(seed):
+    rng = np.random.default_rng(seed)
+    tb = np.sort(rng.uniform(0.0, 10.0, 80))
+    tb = np.delete(tb, rng.choice(tb.size, 10, replace=False))  # opens gaps above max_gap
+    tb = np.append(tb, [20.0, 20.25])         # a bracket exactly max_gap = 0.25 wide
+    ta = np.concatenate([
+        rng.uniform(-1.0, 11.0, 60),          # brackets, plus times before and after b's stream
+        rng.choice(tb, 10, replace=False),    # exact matches
+        [20.1],
+    ])
+    a, b = random_estimates(rng, ta), random_estimates(rng, tb)
+    rng.shuffle(a)  # unsorted inputs
+    rng.shuffle(b)
+    cases = [(a, b, gap) for gap in (0.05, 0.2, 0.25, 1.0)]
+    cases += [(a, [], 0.2), ([], b, 0.2), ([], [], 0.2)]
+    for stream_a, stream_b, max_gap in cases:
+        got = synchronize(stream_a, stream_b, max_gap)
+        want = synchronize_reference(stream_a, stream_b, max_gap)
+        for name, arr in zip(("timestamps", "h_a", "h_b", "cov_a", "cov_b"), want):
+            assert np.array_equal(getattr(got, name), arr), name
+    # the 0.2 s run keeps exact matches and brackets and drops the rest
+    kept = len(synchronize(a, b, 0.2))
+    assert 10 < kept < len(a)
+    assert 20.1 in synchronize(a, b, 0.25).timestamps
 
 
 def test_filter_pairs_thresholds_and_idempotence():
-    fast = nasty_pairs()[4]  # enormous speed, clearly moving
-    slow = MeasurementPair(
-        h_a=np.array([0.01, 0.0]),
-        h_b=np.array([1.0, 1.0]),
-        cov_a=np.eye(2),
-        cov_b=np.eye(2),
-        timestamp=0.0,
-    )
-    kept = filter_pairs([fast, slow])
-    assert kept == [fast]
-    assert filter_pairs(kept) == kept
-    assert filter_pairs([fast, slow], min_speed=0.0) == [fast, slow]
+    # pair 4 has an enormous speed, clearly moving; pair 1 is slow on radar a
+    pairs = nasty_pairs()[[4, 1]]
+    pairs.h_a[1] = [0.01, 0.0]
+    kept = filter_pairs(pairs)
+    assert_pairs_equal(kept, pairs[:1])
+    assert_pairs_equal(filter_pairs(kept), kept)
+    assert_pairs_equal(filter_pairs(pairs, min_speed=0.0), pairs)
     with pytest.raises(InvalidArgumentError):
-        filter_pairs([fast], min_speed=-1.0)
+        filter_pairs(pairs, min_speed=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +455,8 @@ def test_report_json_round_trip_exact(tmp_path):
     assert back.mean_velocity_error == report.mean_velocity_error
     assert back.velocity_error_table == report.velocity_error_table
     np.testing.assert_array_equal(back.timestamps, report.timestamps)
-    for m0, m1 in zip(report.fused_motion, back.fused_motion):
-        np.testing.assert_array_equal(m0.v_a, m1.v_a)
-        assert m0.omega_gamma == m1.omega_gamma
+    np.testing.assert_array_equal(back.v_a, report.v_a)
+    np.testing.assert_array_equal(back.omega_gamma, report.omega_gamma)
     assert back.excitation == report.excitation
     # writing again produces identical bytes
     path2 = tmp_path / "report2.json"
