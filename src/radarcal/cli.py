@@ -128,6 +128,8 @@ def _load_config(args) -> pipeline_io.PipelineConfig:
 
 
 def _outdir(args) -> Path:
+    """Create ``--out``.  Commands call this only once their inputs have
+    loaded, so a bad input leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -245,8 +247,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(args)
     pairs = _pairs_from_input(args.input, cfg)
+    out = _outdir(args)
     _write_resolved_config(cfg, out)
     pipeline_io.save_pairs(pairs, out / "used_pairs.txt")
     try:
@@ -284,8 +286,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_excitation_check(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(args)
     pairs = _pairs_from_input(args.input, cfg)
+    out = _outdir(args)
     _write_resolved_config(cfg, out)
     verdict = assess_excitation(pairs, cfg.solver)
     rep = verdict.report
@@ -307,9 +309,10 @@ def cmd_excitation_check(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(args)
     pairs = _pairs_from_input(args.input, cfg)
     report = pipeline_io.read_report(args.report)
+    truth = pipeline_io.load_truth(args.truth) if args.truth else None
+    out = _outdir(args)
     _write_resolved_config(
         cfg, out, extra_comments=[f"evaluate report={args.report} truth={args.truth or 'none'}"]
     )
@@ -320,7 +323,6 @@ def cmd_evaluate(args) -> int:
         "median_errors": None,
         "extrinsic_error_deg": None,
     }
-    truth = pipeline_io.load_truth(args.truth) if args.truth else None
     if len(pairs) == len(report.timestamps):
         errors = fused_ego_velocities(report, pairs, ground_truth=truth)
         payload["median_errors"] = {

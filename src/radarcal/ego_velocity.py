@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    CalibrationError,
     DegenerateGeometryError,
     EmptyInputError,
     InsufficientDataError,
@@ -126,6 +127,14 @@ class RansacConfig:
             raise InvalidArgumentError("max_iterations must be >= 1")
 
 
+def _stack_systems(scans: list[RadarScan], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A (S, n, 2) and y (S, n) of scans that each hold ``n`` detections."""
+    az = np.array([d.azimuth_rad for s in scans for d in s.detections], dtype=float)
+    rr = np.array([d.range_rate_mps for s in scans for d in s.detections], dtype=float)
+    az = az.reshape(len(scans), n)
+    return np.stack([np.sin(az), np.cos(az)], axis=-1), -rr.reshape(len(scans), n)
+
+
 def build_lsq(scan: RadarScan) -> LsqSystem:
     """Assemble the range-rate system for one scan.
 
@@ -133,10 +142,39 @@ def build_lsq(scan: RadarScan) -> LsqSystem:
     """
     if not scan.detections:
         raise EmptyInputError(f"scan at t={scan.timestamp} has no detections")
-    az = np.array([d.azimuth_rad for d in scan.detections])
-    rr = np.array([d.range_rate_mps for d in scan.detections])
-    A = np.column_stack([np.sin(az), np.cos(az)])
-    return LsqSystem(A=A, y=-rr)
+    A, y = _stack_systems([scan], len(scan.detections))
+    return LsqSystem(A=A[0], y=y[0])
+
+
+def _refit(A: np.ndarray, y: np.ndarray):
+    """Least-squares fits of the stacked systems ``A (S, c, 2) v = y (S, c)``.
+
+    Returns ``cond(A^T A)`` (S,), velocities (S, 2) and covariances
+    (S, 2, 2); a system whose cond is not finite or exceeds
+    ``CONDITION_CAP`` gets NaN velocity and covariance.  Each system goes
+    through the calls a single one would: a syrk for ``A^T A``, an SVD for
+    its cond, gesv for the solve and the inverse, and a dot for ``eps.eps``,
+    all on matrices of the single system's shape and layout, so every item
+    is bit for bit the fit of that system alone.
+    """
+    ata = A.swapaxes(1, 2) @ A
+    cond = np.linalg.cond(ata)
+    ok = cond <= CONDITION_CAP  # False for NaN too
+    v = np.full((len(A), 2), np.nan)
+    cov = np.full((len(A), 2, 2), np.nan)
+    A, y, ata = A[ok], y[ok], ata[ok]
+    v_ok = np.linalg.solve(ata, A.swapaxes(1, 2) @ y[..., None])[..., 0]
+    eps = y - (A @ v_ok[..., None])[..., 0]
+    sigma2 = (eps[:, None] @ eps[..., None])[:, 0, 0] / (A.shape[1] - 2)
+    v[ok] = v_ok
+    cov[ok] = sigma2[:, None, None] * np.linalg.inv(ata)
+    return cond, v, cov
+
+
+def _degenerate(cond: float) -> DegenerateGeometryError:
+    return DegenerateGeometryError(
+        f"azimuth geometry is one-directional (cond(A^T A) = {cond:.3g})"
+    )
 
 
 def solve_ego_velocity(system: LsqSystem, timestamp: float = 0.0) -> EgoVelocityEstimate:
@@ -144,7 +182,8 @@ def solve_ego_velocity(system: LsqSystem, timestamp: float = 0.0) -> EgoVelocity
 
     The covariance is the residual variance estimate scaled by the inverse
     normal matrix, ``(eps.eps / (N - 2)) * inv(A^T A)``; for that to exist
-    the system needs at least three rows.
+    the system needs at least three rows.  This is the one-system case of
+    the stacked refit RANSAC runs on its winners.
     """
     A = np.asarray(system.A, dtype=float)
     y = np.asarray(system.y, dtype=float)
@@ -153,20 +192,12 @@ def solve_ego_velocity(system: LsqSystem, timestamp: float = 0.0) -> EgoVelocity
     n = A.shape[0]
     if n < MIN_DETECTIONS:
         raise InsufficientDataError(f"need >= {MIN_DETECTIONS} detections, got {n}")
-    ata = A.T @ A
-    cond = np.linalg.cond(ata)
-    if not np.isfinite(cond) or cond > CONDITION_CAP:
-        raise DegenerateGeometryError(
-            f"azimuth geometry is one-directional (cond(A^T A) = {cond:.3g})"
-        )
-    aty = A.T @ y
-    v = np.linalg.solve(ata, aty)
-    eps = y - A @ v
-    sigma2 = float(eps @ eps) / (n - 2)
-    cov = sigma2 * np.linalg.inv(ata)
+    cond, v, cov = _refit(A[None], y[None])
+    if not cond[0] <= CONDITION_CAP:
+        raise _degenerate(cond[0])
     return EgoVelocityEstimate(
-        velocity=v,
-        covariance=cov,
+        velocity=v[0],
+        covariance=cov[0],
         n_inliers=n,
         n_total=n,
         timestamp=timestamp,
@@ -188,23 +219,24 @@ def _choice_pairs(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 
 
 def _decode_choice_pairs(u: np.ndarray, n: int) -> np.ndarray | None:
-    """The (2, k) samples ``_choice_pairs`` draws from the same stream, decoded
-    from the generator's raw 32-bit output ``u`` (three values per sample).
+    """The (2, ..., k) samples ``_choice_pairs`` draws from the same streams,
+    decoded from the generators' raw 32-bit output ``u`` (..., 3k): three
+    values per sample, one stream per row.
 
     numpy's ``Generator.choice(n, 2, replace=False)`` runs Floyd's algorithm
     and then shuffles the two indices: three draws, each bounded by Lemire's
     method, ``(u * bound) >> 32``, with bounds ``n - 1``, ``n`` and 2.  Floyd
     takes ``n - 1`` when its second draw repeats the first, and the shuffle
-    swaps the pair when its draw is 0.  Returns None when a draw lands in
+    swaps the pair when its draw is 0.  Returns None when any draw lands in
     Lemire's rejection zone (low 32 bits of ``u * bound`` below
     ``(2**32 - bound) % bound``, odds about n / 2**32): numpy would draw again
     there, and ``u`` no longer lines up with its samples.
     """
     bounds = (n - 1, n, 2)
-    m = u.reshape(-1, 3) * np.array(bounds, dtype=np.uint64)
+    m = u.reshape(*u.shape[:-1], -1, 3) * np.array(bounds, dtype=np.uint64)
     if np.any((m & 0xFFFFFFFF) < np.array([(2**32 - b) % b for b in bounds], dtype=np.uint64)):
         return None
-    first, second, shuffle = (m >> 32).astype(np.intp).T
+    first, second, shuffle = np.moveaxis(m >> 32, -1, 0).astype(np.intp)
     second = np.where(second == first, n - 1, second)
     swap = shuffle == 0
     return np.stack([np.where(swap, second, first), np.where(swap, first, second)])
@@ -223,8 +255,115 @@ def _hypothesis_pairs(seed: np.random.SeedSequence, n: int, k: int) -> np.ndarra
     return pairs
 
 
+# Scans of one detection count scored in one array pass.  A block's transient
+# arrays hold _SCAN_BLOCK times one scan's (K, n) residuals, however long the
+# stream.  Larger blocks ran no faster on simulated 150-scan streams (10-30
+# scans per detection count) and raised peak memory.
+_SCAN_BLOCK = 8
+
+
+def _score_block(scans: list[RadarScan], n: int, config: RansacConfig):
+    """Score the hypotheses of scans that each hold ``n >= MIN_DETECTIONS``
+    detections.  Returns A (S, n, 2), y (S, n), and each scan's winning
+    inlier count (S,) and inlier mask (S, n)."""
+    k = config.max_iterations
+    A, y = _stack_systems(scans, n)
+    seeds = [_scan_seed(config.rng_seed, s.timestamp) for s in scans]
+    u = np.stack([
+        np.random.default_rng(seed).integers(0, 2**32, size=3 * k, dtype=np.uint32)
+        for seed in seeds
+    ])
+    pairs = _decode_choice_pairs(u, n)
+    if pairs is None:  # some scan drew in a rejection zone: decode scan by scan
+        pairs = np.stack([_hypothesis_pairs(seed, n, k) for seed in seeds], axis=1)
+    i, j = pairs  # (S, K) each
+    rows = np.arange(len(scans))[:, None]
+    Ai, Aj, yi, yj = A[rows, i], A[rows, j], y[rows, i], y[rows, j]
+    det = Ai[..., 0] * Aj[..., 1] - Ai[..., 1] * Aj[..., 0]
+    ok = np.abs(det) >= 1e-12  # a parallel line-of-sight pair constrains only one axis
+    det = np.where(ok, det, 1.0)
+    V = np.stack(
+        [(Aj[..., 1] * yi - Ai[..., 1] * yj) / det, (Ai[..., 0] * yj - Aj[..., 0] * yi) / det],
+        axis=-1,
+    )
+    # Each (n, 2) @ (2,) product is the gemv a single scan's ``A @ v`` makes;
+    # ``V @ A.T`` would round differently.
+    resid = np.abs(y[:, None] - (A[:, None] @ V[..., None])[..., 0])
+    masks = resid <= config.residual_threshold
+    counts = np.where(ok, masks.sum(axis=-1), 0)  # a parallel pair never wins
+    rms = np.sqrt(np.where(masks, resid**2, 0.0).sum(axis=-1) / np.maximum(counts, 1))
+    # Most inliers, then strictly lower RMS, then the earliest draw (the sort is stable).
+    best = np.lexsort((rms, -counts), axis=-1)[:, 0]
+    return A, y, counts[rows[:, 0], best], masks[rows[:, 0], best]
+
+
+def ransac_scans(
+    scans: list[RadarScan], config: RansacConfig
+) -> list[EgoVelocityEstimate | CalibrationError]:
+    """Robust ego-velocity for each scan: an estimate, or the error that
+    :func:`ransac_ego_velocity` would raise for it, in the scans' order.
+
+    Scans are grouped by detection count ``n`` and each group is scored in
+    blocks of ``_SCAN_BLOCK`` scans, one array pass per block; the winners
+    of the whole stream are then refit in stacks of equal inlier count.
+    Grouping by ``n`` is what keeps every scan's result bit for bit that of
+    the scan alone: every matrix product and LAPACK call then runs on
+    matrices of the one-scan shape and layout (an ``(n, 2) @ (2,)`` gemv per
+    hypothesis, per-row sums along a contiguous last axis, and a syrk, SVD
+    and gesv per refit of ``c`` inliers), and each scan keeps its own
+    generator and its own stable lexsort rule.
+    """
+    out: list = [None] * len(scans)
+    groups: dict[int, list[int]] = {}
+    for s, scan in enumerate(scans):
+        n = len(scan.detections)
+        if n < MIN_DETECTIONS:
+            out[s] = InsufficientDataError(
+                f"scan at t={scan.timestamp} has {n} detections, need >= {MIN_DETECTIONS}"
+            )
+        else:
+            groups.setdefault(n, []).append(s)
+
+    winners: dict[int, list] = {}  # inlier count c -> [(scan indices, A, y, masks)]
+    for n, members in groups.items():
+        need = max(MIN_DETECTIONS, math.ceil(config.inlier_fraction_threshold * n))
+        for lo in range(0, len(members), _SCAN_BLOCK):
+            block = np.array(members[lo : lo + _SCAN_BLOCK])
+            A, y, counts, masks = _score_block([scans[s] for s in block], n, config)
+            short = counts < need
+            for s, c in zip(block[short].tolist(), counts[short].tolist()):
+                out[s] = NoConsensusError(
+                    f"scan at t={scans[s].timestamp}: best consensus {c}/{n} "
+                    f"below threshold {config.inlier_fraction_threshold:.2f}"
+                )
+            for c in np.unique(counts[~short]).tolist():
+                sel = counts == c
+                m = masks[sel]
+                winners.setdefault(c, []).append(
+                    (block[sel], A[sel][m].reshape(-1, c, 2), y[sel][m].reshape(-1, c), list(m))
+                )
+
+    for c, parts in winners.items():
+        index, A, y, masks = zip(*parts)
+        cond, v, cov = _refit(np.concatenate(A), np.concatenate(y))
+        masks = [mask for part in masks for mask in part]
+        for r, s in enumerate(np.concatenate(index).tolist()):
+            if not cond[r] <= CONDITION_CAP:
+                out[s] = _degenerate(cond[r])
+                continue
+            out[s] = EgoVelocityEstimate(
+                velocity=v[r],
+                covariance=cov[r],
+                n_inliers=c,
+                n_total=masks[r].size,
+                timestamp=scans[s].timestamp,
+                inlier_mask=masks[r],
+            )
+    return out
+
+
 def ransac_ego_velocity(scan: RadarScan, config: RansacConfig) -> EgoVelocityEstimate:
-    """Robust ego-velocity for one scan.
+    """Robust ego-velocity for one scan: :func:`ransac_scans` on that scan alone.
 
     ``max_iterations`` two-point hypotheses are drawn in one generator call
     and decoded into exactly the samples that as many
@@ -235,45 +374,14 @@ def ransac_ego_velocity(scan: RadarScan, config: RansacConfig) -> EgoVelocityEst
     The hypotheses are scored all at once: most inliers wins, ties go to the
     strictly lower inlier residual RMS, then to the earliest draw.  The
     winner is refit by least squares over its whole consensus set.  Raises
+    InsufficientDataError below ``MIN_DETECTIONS`` detections,
     NoConsensusError when the best consensus set is below the configured
-    fraction (or too small to refit).
+    fraction (or too small to refit), and DegenerateGeometryError when the
+    consensus set's azimuths span too little.  A stream scored by
+    :func:`ransac_scans` gives each scan this result bit for bit, since its
+    scans are batched only with scans of the same detection count.
     """
-    n = len(scan.detections)
-    if n < MIN_DETECTIONS:
-        raise InsufficientDataError(
-            f"scan at t={scan.timestamp} has {n} detections, need >= {MIN_DETECTIONS}"
-        )
-    system = build_lsq(scan)
-    A, y = system.A, system.y
-
-    i, j = _hypothesis_pairs(_scan_seed(config.rng_seed, scan.timestamp), n, config.max_iterations)
-    det = A[i, 0] * A[j, 1] - A[i, 1] * A[j, 0]
-    ok = np.abs(det) >= 1e-12  # a parallel line-of-sight pair constrains only one axis
-    i, j, det = i[ok], j[ok], det[ok]
-    V = np.stack(
-        [(A[j, 1] * y[i] - A[i, 1] * y[j]) / det, (A[i, 0] * y[j] - A[j, 0] * y[i]) / det],
-        axis=1,
-    )
-    # Batched matrix-vector products round each row as ``A @ v`` does; ``V @ A.T`` would not.
-    resid = np.abs(y - (A @ V[:, :, None])[..., 0])
-    masks = resid <= config.residual_threshold
-    counts = masks.sum(axis=1)
-    rms = np.sqrt(np.where(masks, resid**2, 0.0).sum(axis=1) / np.maximum(counts, 1))
-    # Most inliers, then strictly lower RMS, then the earliest draw (the sort is stable).
-    order = np.lexsort((rms, -counts))
-    best_count = int(counts[order[0]]) if order.size else 0
-
-    if best_count < max(MIN_DETECTIONS, math.ceil(config.inlier_fraction_threshold * n)):
-        raise NoConsensusError(
-            f"scan at t={scan.timestamp}: best consensus {best_count}/{n} "
-            f"below threshold {config.inlier_fraction_threshold:.2f}"
-        )
-    best_mask = masks[order[0]].copy()  # not a view that keeps all K masks alive
-
-    refit = solve_ego_velocity(
-        LsqSystem(A=A[best_mask], y=y[best_mask]), timestamp=scan.timestamp
-    )
-    refit.n_total = n
-    refit.n_inliers = best_count
-    refit.inlier_mask = best_mask
-    return refit
+    (result,) = ransac_scans([scan], config)
+    if isinstance(result, CalibrationError):
+        raise result
+    return result

@@ -47,15 +47,9 @@ from .ego_velocity import (
     EgoVelocityEstimate,
     RadarScan,
     RansacConfig,
-    ransac_ego_velocity,
+    ransac_scans,
 )
-from .errors import (
-    DegenerateGeometryError,
-    InsufficientDataError,
-    InvalidArgumentError,
-    NoConsensusError,
-    ParseError,
-)
+from .errors import InvalidArgumentError, ParseError
 from .identifiability import ExcitationReport, ExcitationThresholds
 
 SCANS_HEADER = "# radarcal scans 1"
@@ -146,6 +140,21 @@ def save_scans(streams, path):
             fh.write(" ".join(toks) + "\n")
 
 
+def _detections_one_by_one(toks: list[str], n: int, lineno: int) -> list[Detection]:
+    """A scan record's detections, parsed token by token: the path that names
+    the first bad field of a record."""
+    dets = []
+    for i in range(n):
+        r = _parse_float(toks[3 + 3 * i], lineno, "range")
+        az = _parse_float(toks[4 + 3 * i], lineno, "azimuth")
+        rr = _parse_float(toks[5 + 3 * i], lineno, "range rate")
+        try:
+            dets.append(Detection(range_m=r, azimuth_rad=az, range_rate_mps=rr))
+        except InvalidArgumentError as exc:
+            raise ParseError(str(exc), lineno)
+    return dets
+
+
 def load_scans(path) -> dict[str, list[RadarScan]]:
     """Read a scan file into per-radar streams sorted by timestamp."""
     streams: dict[str, list[RadarScan]] = {}
@@ -173,15 +182,16 @@ def load_scans(path) -> dict[str, list[RadarScan]]:
             if (rid, ts) in seen:
                 raise ParseError(f"duplicate scan for radar {rid!r} at t={ts!r}", lineno)
             seen.add((rid, ts))
-            dets = []
-            for i in range(n):
-                r = _parse_float(toks[3 + 3 * i], lineno, "range")
-                az = _parse_float(toks[4 + 3 * i], lineno, "azimuth")
-                rr = _parse_float(toks[5 + 3 * i], lineno, "range rate")
-                try:
-                    dets.append(Detection(range_m=r, azimuth_rad=az, range_rate_mps=rr))
-                except InvalidArgumentError as exc:
-                    raise ParseError(str(exc), lineno)
+            try:
+                vals = list(map(float, toks[3:]))
+            except ValueError:
+                vals = None
+            # One sum tells that every value is finite (an overflow only sends a
+            # good record the slow way); the slow way raises the exact error.
+            if vals is None or not math.isfinite(sum(vals)) or (n and min(vals[::3]) <= 0.0):
+                dets = _detections_one_by_one(toks, n, lineno)
+            else:
+                dets = list(map(Detection, vals[::3], vals[1::3], vals[2::3]))
             try:
                 scan = RadarScan(timestamp=ts, radar_id=rid, detections=dets)
             except InvalidArgumentError as exc:
@@ -317,13 +327,15 @@ def load_truth(path):
 
 def estimate_stream(scans: list[RadarScan], config: RansacConfig) -> list[EgoVelocityEstimate]:
     """Robust per-scan ego-velocities; scans without consensus, with too few
-    detections, or whose inliers span too little azimuth are skipped."""
-    out = []
-    for scan in scans:
-        try:
-            out.append(ransac_ego_velocity(scan, config))
-        except (NoConsensusError, InsufficientDataError, DegenerateGeometryError):
-            continue
+    detections, or whose inliers span too little azimuth are skipped.
+
+    The whole stream is scored in one :func:`ransac_scans` call, which
+    batches scans of equal detection count: each estimate is bit for bit
+    what :func:`ransac_ego_velocity` gives for its scan alone, because a
+    batch of equal-``n`` scans makes every scan's BLAS and LAPACK calls on
+    the shapes and layouts of that scan alone.
+    """
+    out = [e for e in ransac_scans(scans, config) if isinstance(e, EgoVelocityEstimate)]
     out.sort(key=lambda e: e.timestamp)
     return out
 

@@ -487,6 +487,23 @@ def test_recover_scale_failure_writes_nothing(tmp_path, calibrated, flag, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, missing", [
+    ("calibrate", "--input"),
+    ("excitation-check", "--input"),
+    ("evaluate", "--input"),
+    ("evaluate", "--report"),
+    ("evaluate", "--truth"),
+])
+def test_unreadable_input_leaves_no_out(tmp_path, calibrated, command, missing, capsys):
+    pairs, report, _ = calibrated
+    files = {"--input": pairs, "--report": report} if command == "evaluate" else {"--input": pairs}
+    files[missing] = tmp_path / "missing.txt"
+    out = tmp_path / "out"
+    assert run(command, *[x for kv in files.items() for x in kv], "--out", out) == cli.EXIT_IO
+    assert "missing.txt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["recover-scale", "evaluate"])
 @pytest.mark.parametrize("edit, field", [
     pytest.param(lambda d: d.pop("timestamps"), "timestamps", id="no-timestamps"),
@@ -519,8 +536,7 @@ def test_malformed_report_exits_3_naming_the_field(
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(field) in err
     assert "Traceback" not in err
-    if command == "recover-scale":
-        assert not out.exists()
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,17 @@ from radarcal.ego_velocity import (
     MIN_DETECTIONS,
     RANSAC_MIN_SAMPLE,
     Detection,
+    EgoVelocityEstimate,
     LsqSystem,
     RadarScan,
     RansacConfig,
     _decode_choice_pairs,
     _hypothesis_pairs,
+    _refit,
     _scan_seed,
     build_lsq,
     ransac_ego_velocity,
+    ransac_scans,
     solve_ego_velocity,
 )
 from radarcal.errors import (
@@ -27,6 +30,7 @@ from radarcal.errors import (
     InvalidArgumentError,
     NoConsensusError,
 )
+from radarcal.pipeline_io import estimate_stream
 from radarcal.simulator import (
     NoiseSpec,
     TrajectoryProfile,
@@ -371,6 +375,125 @@ def test_ransac_matches_reference_when_all_detections_are_outliers():
     scan = scan_from_arrays(rng.uniform(-1.0, 1.0, size=12), rng.uniform(-5.0, 5.0, size=12))
     exc = assert_matches_reference(scan, RansacConfig(rng_seed=6))
     assert isinstance(exc, NoConsensusError)
+
+
+def mixed_stream():
+    """Simulated scans (several per detection count) plus one scan of each
+    kind the batch must keep apart, all at distinct timestamps."""
+    truth = generate_trajectory(TrajectoryProfile(kind="periodic_default", duration=6.0))
+    landmarks = sample_landmarks(truth, n=40, rng_seed=51)
+    noise = NoiseSpec(sigma_r=0.0, detection_sigma=0.01, outlier_fraction=0.1)
+    scans = simulate_scans(truth, landmarks, noise, rng_seed=52).scans["a"]
+    rng = np.random.default_rng(53)
+    v = np.array([0.8, -0.3])
+    narrow = 0.3 + 1e-7 * np.arange(10)
+    extra = [
+        synthetic_scan(v, [0.1, 0.5], t=100.0),  # too few detections
+        # no consensus: incoherent range rates
+        scan_from_arrays(rng.uniform(-1.0, 1.0, 10), rng.uniform(-5.0, 5.0, 10), t=100.1),
+        synthetic_scan(v, narrow, t=100.2),  # consensus, but a singular refit
+        # detections 0 and 1 share an azimuth, so some draws are parallel pairs
+        synthetic_scan(v, [0.3, 0.3, -0.5, 0.8], [0.0, 0.002, -0.001, 0.001], t=100.3),
+        synthetic_scan(v, [0.3, 0.3, -0.5, 0.8], [0.001, 0.0, 0.002, -0.001], t=100.4),
+    ]
+    return scans + extra
+
+
+def test_estimate_stream_matches_the_per_scan_reference(monkeypatch):
+    scans = mixed_stream()
+    config = RansacConfig(rng_seed=54)
+    sizes = [len(s.detections) for s in scans]
+    monkeypatch.setattr(ego_velocity, "_SCAN_BLOCK", 3)
+    assert max(sizes.count(n) for n in set(sizes)) > 2 * ego_velocity._SCAN_BLOCK
+
+    # Force a Lemire rejection on one scan of a group that fills a block.
+    # Bound n must not be a power of two, or it has no rejection zone.
+    n = next(n for n in sizes if sizes.count(n) > 3 and n & (n - 1))
+    target = scans[sizes.index(n)]  # the first scan of its group, in a block of 3
+    target_u = raw_draws(_scan_seed(config.rng_seed, target.timestamp), config.max_iterations)
+    decode, choice = ego_velocity._decode_choice_pairs, ego_velocity._choice_pairs
+
+    def decode_rejecting_the_target(u, n):
+        u = u.copy()
+        u[..., 4] = np.where((u == target_u).all(axis=-1), 0, u[..., 4])
+        return decode(u, n)
+
+    fallbacks = []
+
+    def counted_choice(rng, n, k):
+        fallbacks.append(n)
+        return choice(rng, n, k)
+
+    monkeypatch.setattr(ego_velocity, "_decode_choice_pairs", decode_rejecting_the_target)
+    monkeypatch.setattr(ego_velocity, "_choice_pairs", counted_choice)
+
+    expected = []
+    kinds = set()
+    for scan, got in zip(scans, ransac_scans(scans, config)):
+        if len(scan.detections) < MIN_DETECTIONS:  # refused before any draw
+            assert isinstance(got, InsufficientDataError)
+            kinds.add(InsufficientDataError)
+            continue
+        try:
+            ref = reference_ransac(scan, config)
+        except CalibrationError as exc:
+            assert type(got) is type(exc)
+            kinds.add(type(exc))
+            continue
+        kinds.add(EgoVelocityEstimate)
+        expected.append(ref)
+    assert fallbacks == [n]  # only the target fell back on rng.choice
+    assert kinds == {EgoVelocityEstimate, InsufficientDataError, NoConsensusError,
+                     DegenerateGeometryError}
+
+    expected.sort(key=lambda e: e.timestamp)
+    stream = estimate_stream(scans, config)
+    assert [e.timestamp for e in stream] == [e.timestamp for e in expected]
+    for got, ref in zip(stream, expected):
+        np.testing.assert_array_equal(got.velocity, ref.velocity)
+        np.testing.assert_array_equal(got.covariance, ref.covariance)
+        np.testing.assert_array_equal(got.inlier_mask, ref.inlier_mask)
+        assert (got.n_inliers, got.n_total) == (ref.n_inliers, ref.n_total)
+
+
+def test_ransac_ego_velocity_raises_the_batch_errors():
+    scans = mixed_stream()[-5:-2]
+    messages = [
+        r"scan at t=100.0 has 2 detections, need >= 3",
+        r"scan at t=100.1: best consensus \d+/10 below threshold 0.40",
+        r"one-directional \(cond\(A\^T A\) = ",
+    ]
+    for scan, kind, message in zip(
+        scans, [InsufficientDataError, NoConsensusError, DegenerateGeometryError], messages
+    ):
+        with pytest.raises(kind, match=message):
+            ransac_ego_velocity(scan, RansacConfig())
+
+
+def test_solve_ego_velocity_is_the_one_system_refit():
+    rng = np.random.default_rng(55)
+    v = np.array([1.1, -0.6])
+    systems = [
+        build_lsq(synthetic_scan(v, rng.uniform(-1.0, 1.0, 9), 0.01 * rng.standard_normal(9)))
+        for _ in range(3)
+    ]
+    A = np.stack([systems[0].A, systems[1].A, systems[0].A, systems[2].A])
+    y = np.stack([systems[0].y, systems[1].y, systems[0].y, systems[2].y])
+    cond, vel, cov = _refit(A, y)
+    for k, system in enumerate([systems[0], systems[1], systems[0], systems[2]]):
+        est = solve_ego_velocity(system)
+        np.testing.assert_array_equal(est.velocity, vel[k])
+        np.testing.assert_array_equal(est.covariance, cov[k])
+        assert cond[k] == np.linalg.cond(system.A.T @ system.A)
+
+    narrow = build_lsq(synthetic_scan(v, 0.3 + 1e-7 * np.arange(9)))
+    cond, vel, cov = _refit(np.stack([narrow.A, systems[0].A]), np.stack([narrow.y, systems[0].y]))
+    assert cond[0] > ego_velocity.CONDITION_CAP
+    assert np.isnan(vel[0]).all() and np.isnan(cov[0]).all()
+    np.testing.assert_array_equal(vel[1], solve_ego_velocity(systems[0]).velocity)
+    with pytest.raises(DegenerateGeometryError) as exc:
+        solve_ego_velocity(narrow)
+    assert f"(cond(A^T A) = {cond[0]:.3g})" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,31 @@ def test_truth_requires_extrinsics_line(tmp_path):
     path.write_text("# radarcal truth 1\n0.0 1.0 0.0 0.1 0.0\n")
     with pytest.raises(ParseError):
         load_truth(path)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ("10.0 0.1 0.2 abc 0.3 0.4", "expected a number for range, got 'abc'"),
+    ("10.0 0.1 0.2 5.0 nan 0.4", "azimuth must be finite, got 'nan'"),
+    ("10.0 0.1 0.2 5.0 0.3 -inf", "range rate must be finite, got '-inf'"),
+    ("10.0 inf 0.2 5.0 -inf 0.4", "azimuth must be finite, got 'inf'"),
+    ("-1.0 0.1 0.2 5.0 0.3 x", "detection range must be positive: -1.0"),
+    ("10.0 0.1 0.2 0.0 0.3 0.4", "detection range must be positive: 0.0"),
+])
+def test_scan_record_errors_name_the_first_bad_field(tmp_path, fields, message):
+    path = tmp_path / "scans.txt"
+    path.write_text(f"# radarcal scans 1\n0.0 a 0\n0.5 a 2 {fields}\n")
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        load_scans(path)
+    assert exc.value.line == 3
+
+
+def test_scan_record_whose_values_overflow_a_sum_still_loads(tmp_path):
+    path = tmp_path / "scans.txt"
+    path.write_text("# radarcal scans 1\n0.0 a 2 1e308 0.1 1e308 1e308 -0.2 1e308\n")
+    (scan,) = load_scans(path)["a"]
+    assert [(d.range_m, d.azimuth_rad, d.range_rate_mps) for d in scan.detections] == [
+        (1e308, 0.1, 1e308), (1e308, -0.2, 1e308)
+    ]
 
 
 # ---------------------------------------------------------------------------
