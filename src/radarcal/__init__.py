@@ -38,7 +38,6 @@ from .calib_solver import (
     velocity_error_metric,
 )
 from .ego_velocity import (
-    Detection,
     EgoVelocityEstimate,
     RadarScan,
     RansacConfig,
@@ -104,7 +103,6 @@ __all__ = [
     "CalibrationError",
     "CalibrationReport",
     "DegenerateGeometryError",
-    "Detection",
     "EgoVelocityEstimate",
     "EmptyInputError",
     "ExcitationReport",

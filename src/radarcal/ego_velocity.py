@@ -39,45 +39,33 @@ RANSAC_MIN_SAMPLE = 2
 
 
 @dataclass(frozen=True)
-class Detection:
-    """One radar return: range (m), azimuth (rad), range rate (m/s)."""
-
-    range_m: float
-    azimuth_rad: float
-    range_rate_mps: float
-
-    def __post_init__(self):
-        if not (
-            math.isfinite(self.range_m)
-            and math.isfinite(self.azimuth_rad)
-            and math.isfinite(self.range_rate_mps)
-        ):
-            raise InvalidArgumentError(f"detection fields must be finite: {self!r}")
-        if self.range_m <= 0.0:
-            raise InvalidArgumentError(f"detection range must be positive: {self.range_m}")
-
-
-@dataclass
 class RadarScan:
-    """All detections of one radar at one timestamp."""
+    """All detections of one radar at one timestamp.
+
+    ``detections`` is a read-only (n, 3) float array, checked once, one row
+    per return: range (m), azimuth (rad) and range rate (m/s).
+    """
 
     timestamp: float
     radar_id: str
-    detections: list[Detection] = field(default_factory=list)
+    detections: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
 
     def __post_init__(self):
         if not math.isfinite(self.timestamp):
             raise InvalidArgumentError("scan timestamp must be finite")
         if not self.radar_id or any(ch.isspace() for ch in self.radar_id):
             raise InvalidArgumentError(f"radar_id must be non-empty without whitespace: {self.radar_id!r}")
-
-
-@dataclass
-class LsqSystem:
-    """Stacked linear system ``A v = y`` for one scan."""
-
-    A: np.ndarray  # (N, 2) rows [sin(az), cos(az)]
-    y: np.ndarray  # (N,)   negated range rates
+        d = np.array(self.detections, dtype=float)
+        d.flags.writeable = False
+        object.__setattr__(self, "detections", d)
+        if d.ndim != 2 or d.shape[1] != 3:
+            raise InvalidArgumentError(f"detections must have shape (n, 3), got {d.shape}")
+        if not np.isfinite(d).all():
+            bad = d[~np.isfinite(d).all(axis=1)][0].tolist()
+            raise InvalidArgumentError(f"detection fields must be finite: {bad}")
+        low = d[:, 0] <= 0.0
+        if low.any():
+            raise InvalidArgumentError(f"detection range must be positive: {float(d[low, 0][0])}")
 
 
 @dataclass
@@ -127,23 +115,24 @@ class RansacConfig:
             raise InvalidArgumentError("max_iterations must be >= 1")
 
 
-def _stack_systems(scans: list[RadarScan], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _stack_systems(scans: list[RadarScan]) -> tuple[np.ndarray, np.ndarray]:
     """A (S, n, 2) and y (S, n) of scans that each hold ``n`` detections."""
-    az = np.array([d.azimuth_rad for s in scans for d in s.detections], dtype=float)
-    rr = np.array([d.range_rate_mps for s in scans for d in s.detections], dtype=float)
-    az = az.reshape(len(scans), n)
-    return np.stack([np.sin(az), np.cos(az)], axis=-1), -rr.reshape(len(scans), n)
+    D = np.stack([s.detections for s in scans])
+    # Contiguous, since a strided input may take another sin/cos ufunc loop.
+    az = np.ascontiguousarray(D[..., 1])
+    return np.stack([np.sin(az), np.cos(az)], axis=-1), -D[..., 2]
 
 
-def build_lsq(scan: RadarScan) -> LsqSystem:
-    """Assemble the range-rate system for one scan.
+def build_lsq(scan: RadarScan) -> tuple[np.ndarray, np.ndarray]:
+    """The range-rate system ``A v = y`` of one scan: A (n, 2) with rows
+    ``[sin(az), cos(az)]`` and y (n,) the negated range rates.
 
     Raises EmptyInputError when the scan holds no detections.
     """
-    if not scan.detections:
+    if not len(scan.detections):
         raise EmptyInputError(f"scan at t={scan.timestamp} has no detections")
-    A, y = _stack_systems([scan], len(scan.detections))
-    return LsqSystem(A=A[0], y=y[0])
+    A, y = _stack_systems([scan])
+    return A[0], y[0]
 
 
 def _refit(A: np.ndarray, y: np.ndarray):
@@ -177,16 +166,16 @@ def _degenerate(cond: float) -> DegenerateGeometryError:
     )
 
 
-def solve_ego_velocity(system: LsqSystem, timestamp: float = 0.0) -> EgoVelocityEstimate:
-    """Least-squares velocity and covariance for a stacked system.
+def solve_ego_velocity(A, y, timestamp: float = 0.0) -> EgoVelocityEstimate:
+    """Least-squares velocity and covariance of the system ``A v = y``.
 
     The covariance is the residual variance estimate scaled by the inverse
     normal matrix, ``(eps.eps / (N - 2)) * inv(A^T A)``; for that to exist
     the system needs at least three rows.  This is the one-system case of
     the stacked refit RANSAC runs on its winners.
     """
-    A = np.asarray(system.A, dtype=float)
-    y = np.asarray(system.y, dtype=float)
+    A = np.asarray(A, dtype=float)
+    y = np.asarray(y, dtype=float)
     if A.ndim != 2 or A.shape[1] != 2 or y.shape != (A.shape[0],):
         raise InvalidArgumentError(f"bad system shapes {A.shape}, {y.shape}")
     n = A.shape[0]
@@ -267,7 +256,7 @@ def _score_block(scans: list[RadarScan], n: int, config: RansacConfig):
     detections.  Returns A (S, n, 2), y (S, n), and each scan's winning
     inlier count (S,) and inlier mask (S, n)."""
     k = config.max_iterations
-    A, y = _stack_systems(scans, n)
+    A, y = _stack_systems(scans)
     seeds = [_scan_seed(config.rng_seed, s.timestamp) for s in scans]
     u = np.stack([
         np.random.default_rng(seed).integers(0, 2**32, size=3 * k, dtype=np.uint32)
@@ -282,16 +271,19 @@ def _score_block(scans: list[RadarScan], n: int, config: RansacConfig):
     det = Ai[..., 0] * Aj[..., 1] - Ai[..., 1] * Aj[..., 0]
     ok = np.abs(det) >= 1e-12  # a parallel line-of-sight pair constrains only one axis
     det = np.where(ok, det, 1.0)
-    V = np.stack(
-        [(Aj[..., 1] * yi - Ai[..., 1] * yj) / det, (Ai[..., 0] * yj - Aj[..., 0] * yi) / det],
-        axis=-1,
-    )
-    # Each (n, 2) @ (2,) product is the gemv a single scan's ``A @ v`` makes;
-    # ``V @ A.T`` would round differently.
-    resid = np.abs(y[:, None] - (A[:, None] @ V[..., None])[..., 0])
+    # Huge range rates may overflow a hypothesis to inf or NaN; it then has no inliers.
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = np.stack(
+            [(Aj[..., 1] * yi - Ai[..., 1] * yj) / det, (Ai[..., 0] * yj - Aj[..., 0] * yi) / det],
+            axis=-1,
+        )
+        # Each (n, 2) @ (2,) product is the gemv a single scan's ``A @ v`` makes;
+        # ``V @ A.T`` would round differently.
+        resid = np.abs(y[:, None] - (A[:, None] @ V[..., None])[..., 0])
     masks = resid <= config.residual_threshold
     counts = np.where(ok, masks.sum(axis=-1), 0)  # a parallel pair never wins
-    rms = np.sqrt(np.where(masks, resid**2, 0.0).sum(axis=-1) / np.maximum(counts, 1))
+    # Square after masking: only an outlier's residual can overflow when squared.
+    rms = np.sqrt((np.where(masks, resid, 0.0) ** 2).sum(axis=-1) / np.maximum(counts, 1))
     # Most inliers, then strictly lower RMS, then the earliest draw (the sort is stable).
     best = np.lexsort((rms, -counts), axis=-1)[:, 0]
     return A, y, counts[rows[:, 0], best], masks[rows[:, 0], best]

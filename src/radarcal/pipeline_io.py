@@ -4,7 +4,8 @@ Plain-text formats, all versioned by their first line:
 
 ``# radarcal scans 1``
     One line per scan: ``<timestamp> <radar_id> <n> <range> <azimuth>
-    <range_rate> ...`` with ``n`` detection triplets.  Duplicate
+    <range_rate> ...`` with ``n`` detection triplets, read into the
+    scan's (n, 3) ``detections`` array row by row.  Duplicate
     ``(radar_id, timestamp)`` records are rejected.
 
 ``# radarcal pairs 1``
@@ -43,7 +44,6 @@ from .calib_solver import (
     SolverOptions,
 )
 from .ego_velocity import (
-    Detection,
     EgoVelocityEstimate,
     RadarScan,
     RansacConfig,
@@ -135,24 +135,19 @@ def save_scans(streams, path):
         fh.write(SCANS_HEADER + "\n")
         for s in scans:
             toks = [_fmt(s.timestamp), s.radar_id, str(len(s.detections))]
-            for d in s.detections:
-                toks += [_fmt(d.range_m), _fmt(d.azimuth_rad), _fmt(d.range_rate_mps)]
+            toks += map(_fmt, s.detections.ravel().tolist())
             fh.write(" ".join(toks) + "\n")
 
 
-def _detections_one_by_one(toks: list[str], n: int, lineno: int) -> list[Detection]:
-    """A scan record's detections, parsed token by token: the path that names
-    the first bad field of a record."""
-    dets = []
+def _detections_one_by_one(toks: list[str], n: int, lineno: int):
+    """Re-read a refused scan record's detections token by token and raise
+    the ParseError that names its first bad field."""
     for i in range(n):
         r = _parse_float(toks[3 + 3 * i], lineno, "range")
-        az = _parse_float(toks[4 + 3 * i], lineno, "azimuth")
-        rr = _parse_float(toks[5 + 3 * i], lineno, "range rate")
-        try:
-            dets.append(Detection(range_m=r, azimuth_rad=az, range_rate_mps=rr))
-        except InvalidArgumentError as exc:
-            raise ParseError(str(exc), lineno)
-    return dets
+        _parse_float(toks[4 + 3 * i], lineno, "azimuth")
+        _parse_float(toks[5 + 3 * i], lineno, "range rate")
+        if r <= 0.0:
+            raise ParseError(f"detection range must be positive: {r}", lineno)
 
 
 def load_scans(path) -> dict[str, list[RadarScan]]:
@@ -183,18 +178,10 @@ def load_scans(path) -> dict[str, list[RadarScan]]:
                 raise ParseError(f"duplicate scan for radar {rid!r} at t={ts!r}", lineno)
             seen.add((rid, ts))
             try:
-                vals = list(map(float, toks[3:]))
-            except ValueError:
-                vals = None
-            # One sum tells that every value is finite (an overflow only sends a
-            # good record the slow way); the slow way raises the exact error.
-            if vals is None or not math.isfinite(sum(vals)) or (n and min(vals[::3]) <= 0.0):
-                dets = _detections_one_by_one(toks, n, lineno)
-            else:
-                dets = list(map(Detection, vals[::3], vals[1::3], vals[2::3]))
-            try:
+                dets = np.array(list(map(float, toks[3:]))).reshape(n, 3)
                 scan = RadarScan(timestamp=ts, radar_id=rid, detections=dets)
-            except InvalidArgumentError as exc:
+            except (ValueError, InvalidArgumentError) as exc:
+                _detections_one_by_one(toks, n, lineno)
                 raise ParseError(str(exc), lineno)
             streams.setdefault(rid, []).append(scan)
     for stream in streams.values():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calib_solver import Extrinsics, MeasurementPairs
-from .ego_velocity import Detection, RadarScan
+from .ego_velocity import RadarScan
 from .errors import InvalidArgumentError
 from .geometry import rot2, wrap_axis, wrap_to_pi
 
@@ -295,14 +295,7 @@ def simulate_scans(
                 bump = rng.uniform(1.0, 3.0, size=int(out_mask.sum()))
                 sign = rng.choice([-1.0, 1.0], size=int(out_mask.sum()))
                 rr[out_mask] += bump * sign
-            dets = [
-                Detection(
-                    range_m=float(ranges[i]),
-                    azimuth_rad=float(az[i]),
-                    range_rate_mps=float(r),
-                )
-                for i, r in zip(idx, rr)
-            ]
+            dets = np.column_stack([ranges[idx], az[idx], rr])
             scans[rid].append(RadarScan(timestamp=float(ts), radar_id=rid, detections=dets))
             masks[rid].append(out_mask)
     return SimulatedScans(scans=scans, outlier_masks=masks)

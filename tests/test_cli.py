@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from radarcal import cli
-from radarcal.ego_velocity import Detection
 from radarcal.pipeline_io import (
     ExperimentMatrix,
     load_pairs,
@@ -285,12 +285,9 @@ def test_calibrate_skips_collinear_scan(tmp_path, capsys):
     streams = load_scans(trial_dir(out, dur="10") / "scans.txt")
     # radar a's 11th scan sees its targets within 1e-6 rad of one azimuth:
     # RANSAC finds a consensus whose refit is singular
-    scan = streams["a"][10]
     az = 0.3 + 1e-7 * np.arange(8)
-    scan.detections = [
-        Detection(range_m=10.0, azimuth_rad=float(a), range_rate_mps=-math.cos(a))
-        for a in az
-    ]
+    dets = np.column_stack([np.full(az.size, 10.0), az, -np.cos(az)])
+    scan = streams["a"][10] = dataclasses.replace(streams["a"][10], detections=dets)
     scans_file = tmp_path / "scans.txt"
     save_scans(streams, scans_file)
     cal = tmp_path / "cal"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +10,7 @@ from radarcal import ego_velocity
 from radarcal.ego_velocity import (
     MIN_DETECTIONS,
     RANSAC_MIN_SAMPLE,
-    Detection,
     EgoVelocityEstimate,
-    LsqSystem,
     RadarScan,
     RansacConfig,
     _decode_choice_pairs,
@@ -30,7 +30,7 @@ from radarcal.errors import (
     InvalidArgumentError,
     NoConsensusError,
 )
-from radarcal.pipeline_io import estimate_stream
+from radarcal.pipeline_io import estimate_stream, load_scans
 from radarcal.simulator import (
     NoiseSpec,
     TrajectoryProfile,
@@ -41,10 +41,7 @@ from radarcal.simulator import (
 
 
 def scan_from_arrays(az, rr, t=0.0, rid="a"):
-    dets = [
-        Detection(range_m=10.0, azimuth_rad=float(a), range_rate_mps=float(r))
-        for a, r in zip(az, rr)
-    ]
+    dets = np.column_stack([np.full(len(az), 10.0), az, rr])
     return RadarScan(timestamp=t, radar_id=rid, detections=dets)
 
 
@@ -64,30 +61,73 @@ def synthetic_scan(v, az, noise=None, t=0.0):
 def test_build_lsq_boresight_row():
     # target dead ahead (+y boresight), radar moving straight at it
     scan = scan_from_arrays([0.0], [-1.0])
-    sys_ = build_lsq(scan)
-    np.testing.assert_allclose(sys_.A, [[0.0, 1.0]], atol=1e-15)
-    np.testing.assert_allclose(sys_.y, [1.0])
+    A, y = build_lsq(scan)
+    np.testing.assert_allclose(A, [[0.0, 1.0]], atol=1e-15)
+    np.testing.assert_allclose(y, [1.0])
 
 
 def test_build_lsq_side_row():
     scan = scan_from_arrays([math.pi / 2], [0.25])
-    sys_ = build_lsq(scan)
-    np.testing.assert_allclose(sys_.A, [[1.0, 0.0]], atol=1e-15)
-    np.testing.assert_allclose(sys_.y, [-0.25])
+    A, y = build_lsq(scan)
+    np.testing.assert_allclose(A, [[1.0, 0.0]], atol=1e-15)
+    np.testing.assert_allclose(y, [-0.25])
 
 
-def test_build_lsq_empty_scan():
-    with pytest.raises(EmptyInputError):
-        build_lsq(RadarScan(timestamp=0.0, radar_id="a", detections=[]))
+def test_build_lsq_empty_scan(tmp_path):
+    path = tmp_path / "scans.txt"
+    path.write_text("# radarcal scans 1\n0.0 a 0\n")
+    (loaded,) = load_scans(path)["a"]
+    for scan in (RadarScan(timestamp=0.0, radar_id="a"), loaded):
+        assert scan.detections.shape == (0, 3)
+        with pytest.raises(EmptyInputError, match="has no detections"):
+            build_lsq(scan)
+
+
+def test_radar_scan_holds_a_read_only_float_copy():
+    scan = RadarScan(timestamp=0.0, radar_id="a", detections=[[10, 0, 1], [5, 0.5, -1]])
+    assert scan.detections.dtype == np.float64
+    np.testing.assert_array_equal(scan.detections, [[10.0, 0.0, 1.0], [5.0, 0.5, -1.0]])
+    with pytest.raises(ValueError):
+        scan.detections[0, 0] = -1.0  # would skip the range check
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scan.detections = np.array([[-1.0, 0.0, 0.0]])
+    dets = np.ones((2, 3))
+    RadarScan(timestamp=0.0, radar_id="a", detections=dets)
+    assert dets.flags.writeable  # the caller's array is left alone
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (4,), (2, 3, 3), (3, 4)])
+def test_radar_scan_refuses_a_detection_array_not_n_by_3(shape):
+    with pytest.raises(InvalidArgumentError, match=r"detections must have shape \(n, 3\)"):
+        RadarScan(timestamp=0.0, radar_id="a", detections=np.ones(shape))
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_radar_scan_refuses_a_non_finite_field(column, bad):
+    dets = np.ones((3, 3))
+    dets[1, column] = bad
+    with pytest.raises(InvalidArgumentError) as exc:
+        RadarScan(timestamp=0.0, radar_id="a", detections=dets)
+    assert str(exc.value) == f"detection fields must be finite: {dets[1].tolist()}"
+
+
+@pytest.mark.parametrize("r", [0.0, -0.0, -1.0, -1e-300])
+def test_radar_scan_refuses_a_range_of_zero_or_below(r):
+    dets = np.ones((4, 3))
+    dets[1, 0], dets[3, 0] = r, -5.0  # the first bad range is named
+    with pytest.raises(InvalidArgumentError) as exc:
+        RadarScan(timestamp=0.0, radar_id="a", detections=dets)
+    assert str(exc.value) == f"detection range must be positive: {r}"
 
 
 def test_detection_validation():
     with pytest.raises(InvalidArgumentError):
-        Detection(range_m=0.0, azimuth_rad=0.0, range_rate_mps=0.0)
+        RadarScan(timestamp=0.0, radar_id="a", detections=[[0.0, 0.0, 0.0]])
     with pytest.raises(InvalidArgumentError):
-        Detection(range_m=1.0, azimuth_rad=math.nan, range_rate_mps=0.0)
+        RadarScan(timestamp=0.0, radar_id="a", detections=[[1.0, math.nan, 0.0]])
     with pytest.raises(InvalidArgumentError):
-        RadarScan(timestamp=0.0, radar_id="radar a", detections=[])
+        RadarScan(timestamp=0.0, radar_id="radar a")
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +137,7 @@ def test_detection_validation():
 def test_exact_three_detection_solve():
     v = np.array([0.7, -1.1])
     scan = synthetic_scan(v, [-0.5, 0.1, 0.6])
-    est = solve_ego_velocity(build_lsq(scan))
+    est = solve_ego_velocity(*build_lsq(scan))
     np.testing.assert_allclose(est.velocity, v, atol=1e-12)
     assert est.n_inliers == est.n_total == 3
 
@@ -105,13 +145,13 @@ def test_exact_three_detection_solve():
 def test_too_few_detections():
     scan = synthetic_scan([1.0, 0.0], [-0.3, 0.4])
     with pytest.raises(InsufficientDataError):
-        solve_ego_velocity(build_lsq(scan))
+        solve_ego_velocity(*build_lsq(scan))
 
 
 def test_collinear_azimuths_degenerate():
     scan = synthetic_scan([1.0, 0.0], [0.2, 0.2, 0.2])
     with pytest.raises(DegenerateGeometryError):
-        solve_ego_velocity(build_lsq(scan))
+        solve_ego_velocity(*build_lsq(scan))
 
 
 @given(
@@ -122,7 +162,7 @@ def test_collinear_azimuths_degenerate():
 def test_exact_solve_recovers_any_velocity(vx, vy, az_shift):
     az = np.array([-0.8, -0.2, 0.3, 0.9]) + az_shift
     scan = synthetic_scan([vx, vy], az)
-    est = solve_ego_velocity(build_lsq(scan))
+    est = solve_ego_velocity(*build_lsq(scan))
     np.testing.assert_allclose(est.velocity, [vx, vy], atol=1e-9)
 
 
@@ -132,7 +172,7 @@ def test_rotation_equivariance():
     v = np.array([1.3, 0.4])
     az = rng.uniform(-1.0, 1.0, size=12)
     noise = 0.01 * rng.standard_normal(12)
-    est = solve_ego_velocity(build_lsq(synthetic_scan(v, az, noise)))
+    est = solve_ego_velocity(*build_lsq(synthetic_scan(v, az, noise)))
 
     phi = 0.37
     # rotating the sensor frame by phi shifts every azimuth by -phi ... but
@@ -140,7 +180,7 @@ def test_rotation_equivariance():
     # when the targets' azimuths shift by -phi with identical range rates.
     c, s = math.cos(phi), math.sin(phi)
     R = np.array([[c, -s], [s, c]])
-    est_rot = solve_ego_velocity(build_lsq(synthetic_scan(R @ v, az - phi, noise)))
+    est_rot = solve_ego_velocity(*build_lsq(synthetic_scan(R @ v, az - phi, noise)))
     np.testing.assert_allclose(est_rot.velocity, R @ est.velocity, atol=1e-9)
     # covariance transforms as R Sigma R^T
     np.testing.assert_allclose(est_rot.covariance, R @ est.covariance @ R.T, atol=1e-9)
@@ -149,8 +189,8 @@ def test_rotation_equivariance():
 def test_appending_consistent_detection_preserves_solution():
     v = np.array([-0.6, 0.9])
     az = [-0.7, -0.1, 0.5]
-    est = solve_ego_velocity(build_lsq(synthetic_scan(v, az)))
-    est2 = solve_ego_velocity(build_lsq(synthetic_scan(v, az + [1.0])))
+    est = solve_ego_velocity(*build_lsq(synthetic_scan(v, az)))
+    est2 = solve_ego_velocity(*build_lsq(synthetic_scan(v, az + [1.0])))
     np.testing.assert_allclose(est2.velocity, est.velocity, atol=1e-9)
 
 
@@ -164,7 +204,7 @@ def test_covariance_matches_monte_carlo():
     covs = []
     for _ in range(1000):
         noise = sigma * rng.standard_normal(az.size)
-        est = solve_ego_velocity(build_lsq(synthetic_scan(v, az, noise)))
+        est = solve_ego_velocity(*build_lsq(synthetic_scan(v, az, noise)))
         ests.append(est.velocity)
         covs.append(est.covariance)
     sample_cov = np.cov(np.array(ests).T)
@@ -184,7 +224,7 @@ def test_covariance_scales_with_noise_power():
         traces = []
         for _ in range(400):
             noise = sigma * rng.standard_normal(az.size)
-            est = solve_ego_velocity(build_lsq(synthetic_scan(v, az, noise)))
+            est = solve_ego_velocity(*build_lsq(synthetic_scan(v, az, noise)))
             traces.append(np.trace(est.covariance))
         out[sigma] = np.mean(traces)
     ratio = out[0.08] / out[0.02]
@@ -193,9 +233,9 @@ def test_covariance_scales_with_noise_power():
 
 def test_bad_system_shapes():
     with pytest.raises(InvalidArgumentError):
-        solve_ego_velocity(LsqSystem(A=np.zeros((3, 3)), y=np.zeros(3)))
+        solve_ego_velocity(np.zeros((3, 3)), np.zeros(3))
     with pytest.raises(InvalidArgumentError):
-        solve_ego_velocity(LsqSystem(A=np.zeros((3, 2)), y=np.zeros(4)))
+        solve_ego_velocity(np.zeros((3, 2)), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +247,7 @@ def test_ransac_clean_scan_matches_direct_fit():
     v = np.array([0.9, -0.4])
     az = rng.uniform(-1.0, 1.0, size=25)
     scan = synthetic_scan(v, az, 0.005 * rng.standard_normal(25))
-    direct = solve_ego_velocity(build_lsq(scan))
+    direct = solve_ego_velocity(*build_lsq(scan))
     robust = ransac_ego_velocity(scan, RansacConfig(rng_seed=1))
     assert robust.n_inliers == 25
     np.testing.assert_allclose(robust.velocity, direct.velocity, atol=1e-12)
@@ -269,6 +309,25 @@ def test_ransac_config_validation():
         RansacConfig(max_iterations=0)
 
 
+@pytest.mark.parametrize("big", [1e155, 1e300, 1e308])
+def test_ransac_on_huge_range_rates_warns_nothing(big):
+    # Squaring an outlier's residual, or solving a hypothesis through two huge
+    # range rates, overflows; neither may leak a numpy warning.
+    az = np.linspace(-1.0, 1.0, 12)
+    signs = np.where(np.arange(12) % 2, 1.0, -1.0)
+    clean = -(np.sin(az) * 1.0 + np.cos(az) * 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConsensusError):
+            ransac_ego_velocity(scan_from_arrays(az, big * signs), RansacConfig())
+        # a third of the detections are huge outliers
+        rr = np.where(np.arange(12) % 3 == 0, big * signs, clean)
+        est = ransac_ego_velocity(scan_from_arrays(az, rr), RansacConfig())
+    np.testing.assert_allclose(est.velocity, [1.0, 0.5], atol=1e-12)
+    assert est.n_inliers == 8
+    np.testing.assert_array_equal(est.inlier_mask, np.arange(12) % 3 != 0)
+
+
 # ---------------------------------------------------------------------------
 # RANSAC against a one-hypothesis-at-a-time reference
 
@@ -277,8 +336,7 @@ def reference_ransac(scan, config):
     """The per-hypothesis loop that scores one draw at a time, kept as the
     reference for the array scoring in ``ransac_ego_velocity``."""
     n = len(scan.detections)
-    system = build_lsq(scan)
-    A, y = system.A, system.y
+    A, y = build_lsq(scan)
     rng = np.random.default_rng(_scan_seed(config.rng_seed, scan.timestamp))
     best_mask = None
     best_count = 0
@@ -309,7 +367,7 @@ def reference_ransac(scan, config):
         MIN_DETECTIONS, math.ceil(config.inlier_fraction_threshold * n)
     ):
         raise NoConsensusError("no consensus")
-    refit = solve_ego_velocity(LsqSystem(A=A[best_mask], y=y[best_mask]), scan.timestamp)
+    refit = solve_ego_velocity(A[best_mask], y[best_mask], scan.timestamp)
     refit.n_total = n
     refit.n_inliers = best_count
     refit.inlier_mask = best_mask
@@ -477,22 +535,25 @@ def test_solve_ego_velocity_is_the_one_system_refit():
         build_lsq(synthetic_scan(v, rng.uniform(-1.0, 1.0, 9), 0.01 * rng.standard_normal(9)))
         for _ in range(3)
     ]
-    A = np.stack([systems[0].A, systems[1].A, systems[0].A, systems[2].A])
-    y = np.stack([systems[0].y, systems[1].y, systems[0].y, systems[2].y])
+    order = [systems[0], systems[1], systems[0], systems[2]]
+    A = np.stack([a for a, _ in order])
+    y = np.stack([b for _, b in order])
     cond, vel, cov = _refit(A, y)
-    for k, system in enumerate([systems[0], systems[1], systems[0], systems[2]]):
-        est = solve_ego_velocity(system)
+    for k, (a, b) in enumerate(order):
+        est = solve_ego_velocity(a, b)
         np.testing.assert_array_equal(est.velocity, vel[k])
         np.testing.assert_array_equal(est.covariance, cov[k])
-        assert cond[k] == np.linalg.cond(system.A.T @ system.A)
+        assert cond[k] == np.linalg.cond(a.T @ a)
 
     narrow = build_lsq(synthetic_scan(v, 0.3 + 1e-7 * np.arange(9)))
-    cond, vel, cov = _refit(np.stack([narrow.A, systems[0].A]), np.stack([narrow.y, systems[0].y]))
+    cond, vel, cov = _refit(
+        np.stack([narrow[0], systems[0][0]]), np.stack([narrow[1], systems[0][1]])
+    )
     assert cond[0] > ego_velocity.CONDITION_CAP
     assert np.isnan(vel[0]).all() and np.isnan(cov[0]).all()
-    np.testing.assert_array_equal(vel[1], solve_ego_velocity(systems[0]).velocity)
+    np.testing.assert_array_equal(vel[1], solve_ego_velocity(*systems[0]).velocity)
     with pytest.raises(DegenerateGeometryError) as exc:
-        solve_ego_velocity(narrow)
+        solve_ego_velocity(*narrow)
     assert f"(cond(A^T A) = {cond[0]:.3g})" in str(exc.value)
 
 

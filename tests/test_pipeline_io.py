@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from radarcal.calib_solver import MeasurementPairs, solve_lm
-from radarcal.ego_velocity import Detection, EgoVelocityEstimate, RadarScan, RansacConfig
+from radarcal.ego_velocity import EgoVelocityEstimate, RadarScan, RansacConfig
 from radarcal.errors import InvalidArgumentError, ParseError
 from radarcal.pipeline_io import (
     _CONFIG_FIELDS,
@@ -32,17 +32,21 @@ from radarcal.pipeline_io import (
     write_excitation,
     write_report,
 )
-from radarcal.simulator import NoiseSpec, TrajectoryProfile, generate_trajectory, simulate_pairs
+from radarcal.simulator import (
+    NoiseSpec,
+    TrajectoryProfile,
+    generate_trajectory,
+    sample_landmarks,
+    simulate_pairs,
+    simulate_scans,
+)
 
 # floats with no short decimal form; a faithful round trip must be bitwise
 NASTY = [0.1 + 0.2, 1.0 / 3.0, -0.0, 5e-324, 1e300, math.pi, 123456789.123456789, -2.5e-17]
 
 
 def make_scan(ts, rid, az, rr, rng=10.0):
-    dets = [
-        Detection(range_m=rng, azimuth_rad=float(a), range_rate_mps=float(r))
-        for a, r in zip(az, rr)
-    ]
+    dets = np.column_stack([np.full(len(az), rng), az, rr])
     return RadarScan(timestamp=ts, radar_id=rid, detections=dets)
 
 
@@ -91,12 +95,17 @@ def test_scans_round_trip_is_bitwise(tmp_path):
         for orig, back in zip(scans[rid], loaded[rid]):
             assert back.timestamp == orig.timestamp
             assert back.radar_id == orig.radar_id
-            for d0, d1 in zip(orig.detections, back.detections):
-                assert (d1.range_m, d1.azimuth_rad, d1.range_rate_mps) == (
-                    d0.range_m,
-                    d0.azimuth_rad,
-                    d0.range_rate_mps,
-                )
+            assert back.detections.tobytes() == orig.detections.tobytes()
+
+
+def test_simulated_scans_file_survives_load_and_save_byte_for_byte(tmp_path):
+    truth = generate_trajectory(TrajectoryProfile(kind="periodic_default", duration=3.0))
+    landmarks = sample_landmarks(truth, n=40, rng_seed=11)
+    noise = NoiseSpec(sigma_r=0.0, detection_sigma=0.01, outlier_fraction=0.1)
+    first, again = tmp_path / "scans.txt", tmp_path / "again.txt"
+    save_scans(simulate_scans(truth, landmarks, noise, rng_seed=12).scans, first)
+    save_scans(load_scans(first), again)
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_scans_accept_flat_list_and_sort(tmp_path):
@@ -216,9 +225,7 @@ def test_scan_record_whose_values_overflow_a_sum_still_loads(tmp_path):
     path = tmp_path / "scans.txt"
     path.write_text("# radarcal scans 1\n0.0 a 2 1e308 0.1 1e308 1e308 -0.2 1e308\n")
     (scan,) = load_scans(path)["a"]
-    assert [(d.range_m, d.azimuth_rad, d.range_rate_mps) for d in scan.detections] == [
-        (1e308, 0.1, 1e308), (1e308, -0.2, 1e308)
-    ]
+    assert scan.detections.tolist() == [[1e308, 0.1, 1e308], [1e308, -0.2, 1e308]]
 
 
 # ---------------------------------------------------------------------------

@@ -181,14 +181,14 @@ def test_simulate_scans_noise_free_rates_are_exact():
     for j, scan in enumerate(sim.scans["a"]):
         assert scan.radar_id == "a"
         assert scan.timestamp == truth.timestamps[j]
-        for det in scan.detections:
+        for rng_m, az, rr in scan.detections.tolist():
             # invert the detection back to a world landmark and verify the
             # range rate is the line-of-sight velocity projection
-            los = np.array([math.sin(det.azimuth_rad), math.cos(det.azimuth_rad)])
+            los = np.array([math.sin(az), math.cos(az)])
             expected = -(los @ truth.v_a[j])
-            assert det.range_rate_mps == pytest.approx(expected, abs=1e-9)
-            assert abs(det.azimuth_rad) <= math.pi / 3 + 1e-12
-            assert det.range_m >= 0.5
+            assert rr == pytest.approx(expected, abs=1e-9)
+            assert abs(az) <= math.pi / 3 + 1e-12
+            assert rng_m >= 0.5
             checked += 1
     assert checked > 100
 
@@ -203,9 +203,9 @@ def test_simulate_scans_outliers_are_recorded():
     assert 0.2 < flagged / total < 0.4
     # flagged detections really are gross outliers, clean ones are not
     for j, (scan, mask) in enumerate(zip(sim.scans["a"], sim.outlier_masks["a"])):
-        for det, bad in zip(scan.detections, mask):
-            los = np.array([math.sin(det.azimuth_rad), math.cos(det.azimuth_rad)])
-            err = abs(det.range_rate_mps + los @ truth.v_a[j])
+        for (_, az, rr), bad in zip(scan.detections.tolist(), mask):
+            los = np.array([math.sin(az), math.cos(az)])
+            err = abs(rr + los @ truth.v_a[j])
             if bad:
                 assert err > 0.9
             else:
@@ -219,9 +219,9 @@ def test_simulate_scans_deterministic_and_seed_sensitive():
     s1 = simulate_scans(truth, landmarks, noise, rng_seed=4)
     s2 = simulate_scans(truth, landmarks, noise, rng_seed=4)
     s3 = simulate_scans(truth, landmarks, noise, rng_seed=5)
-    r1 = [d.range_rate_mps for d in s1.scans["b"][0].detections]
-    r2 = [d.range_rate_mps for d in s2.scans["b"][0].detections]
-    r3 = [d.range_rate_mps for d in s3.scans["b"][0].detections]
+    r1 = s1.scans["b"][0].detections[:, 2].tolist()
+    r2 = s2.scans["b"][0].detections[:, 2].tolist()
+    r3 = s3.scans["b"][0].detections[:, 2].tolist()
     assert r1 == r2
     assert r1 != r3
 
