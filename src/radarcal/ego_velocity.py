@@ -140,11 +140,13 @@ def _refit(A: np.ndarray, y: np.ndarray):
 
     Returns ``cond(A^T A)`` (S,), velocities (S, 2) and covariances
     (S, 2, 2); a system whose cond is not finite or exceeds
-    ``CONDITION_CAP`` gets NaN velocity and covariance.  Each system goes
-    through the calls a single one would: a syrk for ``A^T A``, an SVD for
-    its cond, gesv for the solve and the inverse, and a dot for ``eps.eps``,
-    all on matrices of the single system's shape and layout, so every item
-    is bit for bit the fit of that system alone.
+    ``CONDITION_CAP`` gets NaN velocity and covariance.  Huge range rates
+    may overflow a fit to inf or NaN without a warning; :func:`_refit_errors`
+    refuses both.  Each system goes through the calls a single one would: a
+    syrk for ``A^T A``, an SVD for its cond, gesv for the solve and the
+    inverse, and a dot for ``eps.eps``, all on matrices of the single
+    system's shape and layout, so every item is bit for bit the fit of that
+    system alone.
     """
     ata = A.swapaxes(1, 2) @ A
     cond = np.linalg.cond(ata)
@@ -152,18 +154,32 @@ def _refit(A: np.ndarray, y: np.ndarray):
     v = np.full((len(A), 2), np.nan)
     cov = np.full((len(A), 2, 2), np.nan)
     A, y, ata = A[ok], y[ok], ata[ok]
-    v_ok = np.linalg.solve(ata, A.swapaxes(1, 2) @ y[..., None])[..., 0]
-    eps = y - (A @ v_ok[..., None])[..., 0]
-    sigma2 = (eps[:, None] @ eps[..., None])[:, 0, 0] / (A.shape[1] - 2)
-    v[ok] = v_ok
-    cov[ok] = sigma2[:, None, None] * np.linalg.inv(ata)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_ok = np.linalg.solve(ata, A.swapaxes(1, 2) @ y[..., None])[..., 0]
+        eps = y - (A @ v_ok[..., None])[..., 0]
+        sigma2 = (eps[:, None] @ eps[..., None])[:, 0, 0] / (A.shape[1] - 2)
+        v[ok] = v_ok
+        cov[ok] = sigma2[:, None, None] * np.linalg.inv(ata)
     return cond, v, cov
 
 
-def _degenerate(cond: float) -> DegenerateGeometryError:
-    return DegenerateGeometryError(
-        f"azimuth geometry is one-directional (cond(A^T A) = {cond:.3g})"
-    )
+def _refit_errors(cond, v, cov) -> list[DegenerateGeometryError | None]:
+    """Why each of a stack of refits cannot be used, or None where it can."""
+    finite = np.isfinite(v).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
+    errors = []
+    for c, ok in zip(cond.tolist(), finite.tolist()):
+        if not c <= CONDITION_CAP:
+            error = DegenerateGeometryError(
+                f"azimuth geometry is one-directional (cond(A^T A) = {c:.3g})"
+            )
+        elif not ok:
+            error = DegenerateGeometryError(
+                "least-squares refit overflows: its velocity or covariance is not finite"
+            )
+        else:
+            error = None
+        errors.append(error)
+    return errors
 
 
 def solve_ego_velocity(A, y, timestamp: float = 0.0) -> EgoVelocityEstimate:
@@ -172,7 +188,9 @@ def solve_ego_velocity(A, y, timestamp: float = 0.0) -> EgoVelocityEstimate:
     The covariance is the residual variance estimate scaled by the inverse
     normal matrix, ``(eps.eps / (N - 2)) * inv(A^T A)``; for that to exist
     the system needs at least three rows.  This is the one-system case of
-    the stacked refit RANSAC runs on its winners.
+    the stacked refit RANSAC runs on its winners.  Raises
+    DegenerateGeometryError when ``A^T A`` is ill-conditioned or the fit
+    is not finite.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -182,8 +200,9 @@ def solve_ego_velocity(A, y, timestamp: float = 0.0) -> EgoVelocityEstimate:
     if n < MIN_DETECTIONS:
         raise InsufficientDataError(f"need >= {MIN_DETECTIONS} detections, got {n}")
     cond, v, cov = _refit(A[None], y[None])
-    if not cond[0] <= CONDITION_CAP:
-        raise _degenerate(cond[0])
+    (error,) = _refit_errors(cond, v, cov)
+    if error is not None:
+        raise error
     return EgoVelocityEstimate(
         velocity=v[0],
         covariance=cov[0],
@@ -339,9 +358,10 @@ def ransac_scans(
         index, A, y, masks = zip(*parts)
         cond, v, cov = _refit(np.concatenate(A), np.concatenate(y))
         masks = [mask for part in masks for mask in part]
+        errors = _refit_errors(cond, v, cov)
         for r, s in enumerate(np.concatenate(index).tolist()):
-            if not cond[r] <= CONDITION_CAP:
-                out[s] = _degenerate(cond[r])
+            if errors[r] is not None:
+                out[s] = errors[r]
                 continue
             out[s] = EgoVelocityEstimate(
                 velocity=v[r],
@@ -369,9 +389,10 @@ def ransac_ego_velocity(scan: RadarScan, config: RansacConfig) -> EgoVelocityEst
     InsufficientDataError below ``MIN_DETECTIONS`` detections,
     NoConsensusError when the best consensus set is below the configured
     fraction (or too small to refit), and DegenerateGeometryError when the
-    consensus set's azimuths span too little.  A stream scored by
-    :func:`ransac_scans` gives each scan this result bit for bit, since its
-    scans are batched only with scans of the same detection count.
+    consensus set's azimuths span too little or its refit is not finite.  A
+    stream scored by :func:`ransac_scans` gives each scan this result bit
+    for bit, since its scans are batched only with scans of the same
+    detection count.
     """
     (result,) = ransac_scans([scan], config)
     if isinstance(result, CalibrationError):

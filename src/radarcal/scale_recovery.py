@@ -31,7 +31,6 @@ DEFAULT_MIN_RATE = 0.1   # rad/s, reference rates below this are unreliable divi
 DEFAULT_HEADING_SIGMA = 0.01  # rad, heading noise assumed by the pose smoother
 DEFAULT_JERK_PSD = 0.5        # rad^2/s^5, angular jerk density of the pose smoother
 MIN_SAMPLES = 10
-_GAIN_BLOCK = 4096  # smoother steps whose RTS gains are formed in one stacked call
 
 
 @dataclass
@@ -74,11 +73,26 @@ def smooth_angular_rate_from_poses(
     jerk of power spectral density ``jerk_psd``; the returned series is the
     smoothed rate component at the input timestamps.
 
-    The filter runs one sample at a time, but builds the transition and
-    noise matrices once per distinct time step (a fixed-rate track has only
-    a handful) and forms the backward gains in stacked blocks of steps.
-    Every matrix product keeps the shape and operand layout of the plain
-    per-sample recursion, so the output is bit-identical to it.
+    The covariances, the Kalman gains and the backward gains depend on the
+    time steps alone, never on the headings.  On a fixed-rate track the steps
+    take a few exact lengths in a repeating pattern, and the filtered
+    covariance settles into a small set of exact float arrays.  So each step
+    whose length recurs is keyed by that length and the exact bytes of the
+    covariance it starts from, and a key seen before reuses the predicted
+    covariance, the Kalman gain and the backward gain computed for it.  On
+    the 50 Hz simulator tracks, 264 of the 749 steps of a 15 s track and
+    28,588 of the 29,999 steps of a 600 s track reuse a key.  On a clock
+    with jitter no length recurs, so no step is keyed and every step is
+    computed.  On a jittered clock rounded to 1 ms lengths recur but keys
+    rarely do, so nearly every step is keyed and computed.
+    The backward gains of the computed steps are formed in one stacked call,
+    and only the state estimates run one sample at a time.  Each quantity is
+    computed by the same expressions as in the plain per-sample recursion,
+    and equal inputs give equal bits, so the output is bit-identical to it.
+    The state passes call ``ndarray.dot``, which makes the same BLAS calls as
+    ``@`` at a lower cost per call.  Memory is linear in the samples: each
+    table holds at most one row per step, and each keyed step that misses
+    adds one key.
     """
     t = np.asarray(timestamps, dtype=float)
     z = np.asarray(headings, dtype=float)
@@ -102,61 +116,84 @@ def smooth_angular_rate_from_poses(
     hrow = np.array([1.0, 0.0, 0.0])
     eye = np.eye(3)
 
-    # Scalar powers per step: numpy's array power rounds differently.
+    # Transition and noise matrices, one per distinct step.  Scalar powers:
+    # numpy's array power rounds differently.
     steps, step_of = np.unique(np.diff(t), return_inverse=True)
-    FQ = [
-        (
-            np.array([[1.0, dt, 0.5 * dt * dt], [0.0, 1.0, dt], [0.0, 0.0, 1.0]]),
-            jerk_psd * np.array(
-                [
-                    [dt ** 5 / 20.0, dt ** 4 / 8.0, dt ** 3 / 6.0],
-                    [dt ** 4 / 8.0, dt ** 3 / 3.0, dt ** 2 / 2.0],
-                    [dt ** 3 / 6.0, dt ** 2 / 2.0, dt],
-                ]
-            ),
-        )
-        for dt in steps
-    ]
+    d2, d3, d4, d5 = np.fromiter(
+        (d ** e for d in steps for e in (2, 3, 4, 5)), float, 4 * steps.size
+    ).reshape(-1, 4).T
+    F = np.zeros((steps.size, 3, 3))
+    F[:, 0, 0] = F[:, 1, 1] = F[:, 2, 2] = 1.0
+    F[:, 0, 1] = F[:, 1, 2] = steps
+    F[:, 0, 2] = 0.5 * steps * steps
+    Q = jerk_psd * np.stack(
+        [d5 / 20.0, d4 / 8.0, d3 / 6.0, d4 / 8.0, d3 / 3.0, d2 / 2.0, d3 / 6.0, d2 / 2.0, steps],
+        axis=-1,
+    ).reshape(-1, 3, 3)
 
-    x = np.array([z[0], (z[1] - z[0]) / (t[1] - t[0]), 0.0])
-    P = np.diag([r, 1.0, 1.0])
-
-    xs_pred = np.zeros((n, 3))
-    xs_filt = np.zeros((n, 3))
-    # Step i runs from sample i to i + 1.  gains[i] holds the filtered
-    # covariance at sample i until its block of steps is filtered; then the
-    # block's RTS gains P_filt F^T inv(P_pred) overwrite it in one stacked
-    # call, which makes the same per-matrix BLAS and LAPACK calls as the
-    # 3x3 products.  P_pred holds one block's predicted covariances.
-    gains = np.empty((n - 1, 3, 3))
-    P_pred = np.empty((min(n - 1, _GAIN_BLOCK), 3, 3))
-    F_stack = np.stack([F for F, _ in FQ])
-
-    for i in range(n):
-        if i == 0:
-            xp, Pp = x, P
-        else:
-            F, Q = FQ[step_of[i - 1]]
-            xp = F @ x
-            Pp = F @ P @ F.T + Q
-            gains[i - 1] = P
-            P_pred[(i - 1) % _GAIN_BLOCK] = Pp
-            if i % _GAIN_BLOCK == 0 or i == n - 1:
-                lo = (i - 1) // _GAIN_BLOCK * _GAIN_BLOCK
-                F_T = F_stack[step_of[lo:i]].transpose(0, 2, 1)
-                gains[lo:i] = gains[lo:i] @ F_T @ np.linalg.inv(P_pred[: i - lo])
-        innov = z[i] - hrow @ xp
-        s = float(hrow @ Pp @ hrow) + r
-        k = (Pp @ hrow) / s
-        x = xp + k * innov
+    # Covariance pass.  Sample 0 is updated from the prior itself.  Step i
+    # runs from sample i to i + 1 and takes transition trans[i], which holds
+    # the Kalman gain, P_filt F^T and the predicted covariance.  A step whose
+    # length recurs looks up the exact bytes of the filtered covariance it
+    # starts from in its length's cache, and a hit reuses that transition and
+    # the covariance it ended in.  A step whose length is unique is not cached.
+    P0 = np.diag([r, 1.0, 1.0])
+    k0 = (P0 @ hrow) / (float(hrow @ P0 @ hrow) + r)
+    P = (eye - k0[:, None] * hrow) @ P0
+    caches = [{} if c > 1 else None for c in np.bincount(step_of).tolist()]
+    step_list = step_of.tolist()
+    ks = np.empty((n - 1, 3))
+    PFt = np.empty((n - 1, 3, 3))
+    gains = np.empty((n - 1, 3, 3))  # predicted covariances, then RTS gains
+    P_next = np.empty((n - 1, 3, 3))  # filtered covariance a cached transition ends in
+    trans = []
+    m = 0
+    for j in step_list:
+        cache = caches[j]
+        if cache is not None:
+            key = P.tobytes()
+            tr = cache.get(key)
+            if tr is not None:
+                trans.append(tr)
+                P = P_next[tr]
+                continue
+        Fj = F[j]
+        Pp = Fj @ P @ Fj.T + Q[j]
+        k = (Pp @ hrow) / (float(hrow @ Pp @ hrow) + r)
+        ks[m], PFt[m], gains[m] = k, P @ Fj.T, Pp
         P = (eye - k[:, None] * hrow) @ Pp
+        if cache is not None:
+            cache[key] = m
+            P_next[m] = P
+        trans.append(m)
+        m += 1
+    del caches, P_next  # before the gains' temporary
+
+    # RTS gains P_filt F^T inv(P_pred) of the distinct transitions in one
+    # stacked call, which makes the same per-matrix BLAS and LAPACK calls as
+    # the 3x3 products.  They overwrite the predicted covariances, so the
+    # stack of inverses is the only temporary.
+    np.matmul(PFt[:m], np.linalg.inv(gains[:m]), out=gains[:m])
+    del PFt
+
+    # State passes: the filter, then the backward pass.
+    xs_pred = np.empty((n, 3))
+    xs_filt = np.empty((n, 3))
+    xp = np.array([z[0], (z[1] - z[0]) / (t[1] - t[0]), 0.0])
+    x = xp + k0 * (z[0] - hrow @ xp)
+    xs_pred[0], xs_filt[0] = xp, x
+    for i, (j, tr) in enumerate(zip(step_list, trans), start=1):
+        xp = F[j].dot(x)
+        x = xp + ks[tr] * (z[i] - hrow.dot(xp))
         xs_pred[i], xs_filt[i] = xp, x
 
-    xs = xs_filt.copy()
+    omega = np.empty(n)
+    omega[-1] = x[1]
     for i in range(n - 2, -1, -1):
-        xs[i] = xs_filt[i] + gains[i] @ (xs[i + 1] - xs_pred[i + 1])
+        x = xs_filt[i] + gains[trans[i]].dot(x - xs_pred[i + 1])
+        omega[i] = x[1]
 
-    return AngularRateSeries(timestamps=t.copy(), omega=xs[:, 1])
+    return AngularRateSeries(timestamps=t.copy(), omega=omega)
 
 
 def recover_scale(

@@ -296,6 +296,31 @@ def test_calibrate_skips_collinear_scan(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_calibrate_drops_a_scan_whose_refit_overflows(tmp_path, capsys):
+    out = tmp_path / "sim"
+    code = run(
+        "simulate", "--out", out, "--trials", 1, "--sigma", 0.1, "--duration", 15, "--seed", 5
+    )
+    assert code == cli.EXIT_OK
+    streams = load_scans(trial_dir(out) / "scans.txt")
+    cal = tmp_path / "cal"
+    assert run("calibrate", "--input", trial_dir(out) / "scans.txt", "--out", cal) == cli.EXIT_OK
+    t = streams["a"][10].timestamp
+    assert t in load_pairs(cal / "used_pairs.txt").timestamps
+    # Ten detections along two perpendicular lines of sight, all with one
+    # huge range rate: RANSAC keeps all ten, and the refit overflows.
+    az = np.repeat([0.0, math.pi / 2], 5)
+    for big in (1e300, 1e308):
+        dets = np.column_stack([np.full(10, 10.0), az, np.full(10, -big)])
+        streams["a"][10] = dataclasses.replace(streams["a"][10], detections=dets)
+        scans_file = tmp_path / f"scans_{big:g}.txt"
+        save_scans(streams, scans_file)
+        cal = tmp_path / f"cal_{big:g}"
+        assert run("calibrate", "--input", scans_file, "--out", cal) == cli.EXIT_OK
+        assert t not in load_pairs(cal / "used_pairs.txt").timestamps
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("profile", ["constant_omega", "straight_line"])
 def test_calibrate_refuses_degenerate_profiles(tmp_path, profile, capsys):
     sim = tmp_path / "sim"

@@ -328,6 +328,22 @@ def test_ransac_on_huge_range_rates_warns_nothing(big):
     np.testing.assert_array_equal(est.inlier_mask, np.arange(12) % 3 != 0)
 
 
+@pytest.mark.parametrize("big", [1e300, 1e308])
+def test_refit_that_is_not_finite_is_refused(big):
+    # Two perpendicular lines of sight, five detections each, all with one
+    # huge range rate: every detection is an inlier, and the refit overflows
+    # to an infinite covariance (1e300) or a NaN velocity (1e308).
+    scan = scan_from_arrays(np.repeat([0.0, math.pi / 2], 5), np.full(10, -big))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateGeometryError, match="refit overflows.*not finite"):
+            ransac_ego_velocity(scan, RansacConfig())
+        with pytest.raises(DegenerateGeometryError, match="refit overflows.*not finite"):
+            solve_ego_velocity(*build_lsq(scan))
+        (got,) = ransac_scans([scan], RansacConfig())
+    assert isinstance(got, DegenerateGeometryError)
+
+
 # ---------------------------------------------------------------------------
 # RANSAC against a one-hypothesis-at-a-time reference
 

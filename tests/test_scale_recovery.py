@@ -207,7 +207,8 @@ def assert_smoother_matches_reference(t, headings, **kwargs):
 @pytest.mark.parametrize("duration, seeds", [(15.0, (0, 1, 2)), (600.0, (0, 1))])
 def test_smoother_matches_reference_on_simulated_tracks(duration, seeds):
     # 50 Hz, the rate of the heading tracks ``recover-scale --poses`` is fed;
-    # a 600 s track spans several blocks of stacked gains.
+    # a 600 s track takes 30,000 steps through about 1,400 distinct
+    # (covariance, step) states, so most steps reuse a computed one.
     track = generate_trajectory(TrajectoryProfile(duration=duration, rate=50.0))
     _, psi, _, _ = track.world_poses()
     for seed in seeds:
@@ -225,6 +226,42 @@ def test_smoother_matches_reference_on_irregular_and_repeated_steps():
     assert_smoother_matches_reference(repeated, headings)
     assert_smoother_matches_reference(repeated, headings, heading_sigma=0.003, jerk_psd=2.0)
     assert_smoother_matches_reference(np.array([0.0, 0.1, 0.3]), np.array([0.0, 0.1, 0.3]))
+
+
+def test_smoother_matches_reference_when_the_rate_switches():
+    # 50 Hz, then 10 Hz, then 50 Hz: at each switch the filtered covariance
+    # leaves the set it settled into, and then settles again.
+    steps = [np.full(999, 0.02), np.full(200, 0.1), np.full(1000, 0.02)]
+    t = np.cumsum(np.concatenate([[0.0], *steps]))
+    rng = np.random.default_rng(8)
+    headings = 0.8 * np.sin(0.4 * t) + 0.01 * rng.standard_normal(t.size)
+    assert_smoother_matches_reference(t, headings)
+
+
+@pytest.mark.parametrize("heading_sigma", [1e-6, 10.0])
+def test_smoother_matches_reference_at_extreme_heading_noise(heading_sigma):
+    track = generate_trajectory(TrajectoryProfile(duration=15.0, rate=50.0))
+    _, psi, _, _ = track.world_poses()
+    noisy = psi + 0.01 * np.random.default_rng(9).standard_normal(psi.shape)
+    assert_smoother_matches_reference(track.timestamps, noisy, heading_sigma=heading_sigma)
+
+
+def test_smoother_matches_reference_when_every_step_is_distinct():
+    # No two steps are equal, so no (covariance, step) state recurs.
+    t = np.concatenate([[0.0], np.cumsum(0.02 * (1.0 + 1e-4 * np.arange(2000)))])
+    assert np.unique(np.diff(t)).size == t.size - 1
+    headings = np.sin(t) + 0.01 * np.random.default_rng(10).standard_normal(t.size)
+    assert_smoother_matches_reference(t, headings)
+
+
+def test_smoother_matches_reference_on_a_jittered_clock_rounded_to_1ms():
+    # Step lengths recur in no pattern: all but 5 steps are keyed, and no
+    # key recurs, so keyed and unkeyed steps mix and every step is computed.
+    rng = np.random.default_rng(11)
+    t = np.round(0.02 * np.arange(3000) + 2e-4 * rng.standard_normal(3000), 3)
+    assert np.unique(np.diff(t)).size < 50
+    headings = np.sin(t) + 0.01 * rng.standard_normal(t.size)
+    assert_smoother_matches_reference(t, headings)
 
 
 def test_end_to_end_scale_from_poses():
