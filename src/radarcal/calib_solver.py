@@ -26,7 +26,6 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     InsufficientDataError,
@@ -46,6 +45,8 @@ from .geometry import (
 )
 
 if TYPE_CHECKING:
+    import scipy.sparse
+
     from .identifiability import ExcitationReport, ExcitationThresholds
 
 # Additive diagonal floor applied to measurement covariances before they are
@@ -458,7 +459,11 @@ def jacobian(state: CalibState, pairs: MeasurementPairs) -> scipy.sparse.csr_mat
     Column order matches the state layout ``[v^1_x, v^1_y, omega_gamma^1,
     ..., theta_t, theta_ba]``.  Rows of timestep j have support only on that
     timestep's three motion columns and the two shared extrinsic columns.
+    No command calls this, so ``scipy.sparse`` is imported here, on the
+    first call, and not when the package loads.
     """
+    import scipy.sparse
+
     v = np.asarray(state.v_a, dtype=float)
     w = np.asarray(state.omega_gamma, dtype=float)
     A, B = _jacobian_blocks(

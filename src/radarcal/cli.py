@@ -33,7 +33,6 @@ is taken as radar a (the reference frame).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import functools
 import math
@@ -230,6 +229,8 @@ def cmd_simulate(args) -> int:
                 for k in range(args.trials)
             ]
     if args.jobs > 1 and len(jobs) > 1:
+        import concurrent.futures  # only here: it also loads logging
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             list(pool.map(write, *zip(*jobs), chunksize=4))
     else:

@@ -90,9 +90,14 @@ def smooth_angular_rate_from_poses(
     computed by the same expressions as in the plain per-sample recursion,
     and equal inputs give equal bits, so the output is bit-identical to it.
     The state passes call ``ndarray.dot``, which makes the same BLAS calls as
-    ``@`` at a lower cost per call.  Memory is linear in the samples: each
+    ``@`` at a lower cost per call, and write each state in place into its
+    row of a preallocated array.  Memory is linear in the samples: each
     table holds at most one row per step, and each keyed step that misses
     adds one key.
+
+    A step so long that a predicted covariance overflows (with the default
+    ``jerk_psd``, a step above about 1e61 s, whose fifth power overflows)
+    raises :class:`InvalidArgumentError` naming the step.
     """
     t = np.asarray(timestamps, dtype=float)
     z = np.asarray(headings, dtype=float)
@@ -117,57 +122,70 @@ def smooth_angular_rate_from_poses(
     eye = np.eye(3)
 
     # Transition and noise matrices, one per distinct step.  Scalar powers:
-    # numpy's array power rounds differently.
+    # numpy's array power rounds differently.  A step so long that a
+    # covariance overflows is refused once the covariance pass has run, so
+    # that pass computes without warnings.
     steps, step_of = np.unique(np.diff(t), return_inverse=True)
-    d2, d3, d4, d5 = np.fromiter(
-        (d ** e for d in steps for e in (2, 3, 4, 5)), float, 4 * steps.size
-    ).reshape(-1, 4).T
-    F = np.zeros((steps.size, 3, 3))
-    F[:, 0, 0] = F[:, 1, 1] = F[:, 2, 2] = 1.0
-    F[:, 0, 1] = F[:, 1, 2] = steps
-    F[:, 0, 2] = 0.5 * steps * steps
-    Q = jerk_psd * np.stack(
-        [d5 / 20.0, d4 / 8.0, d3 / 6.0, d4 / 8.0, d3 / 3.0, d2 / 2.0, d3 / 6.0, d2 / 2.0, steps],
-        axis=-1,
-    ).reshape(-1, 3, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2, d3, d4, d5 = np.fromiter(
+            (d ** e for d in steps for e in (2, 3, 4, 5)), float, 4 * steps.size
+        ).reshape(-1, 4).T
+        F = np.zeros((steps.size, 3, 3))
+        F[:, 0, 0] = F[:, 1, 1] = F[:, 2, 2] = 1.0
+        F[:, 0, 1] = F[:, 1, 2] = steps
+        F[:, 0, 2] = 0.5 * steps * steps
+        Q = jerk_psd * np.stack(
+            [d5 / 20.0, d4 / 8.0, d3 / 6.0, d4 / 8.0, d3 / 3.0, d2 / 2.0, d3 / 6.0, d2 / 2.0, steps],
+            axis=-1,
+        ).reshape(-1, 3, 3)
 
-    # Covariance pass.  Sample 0 is updated from the prior itself.  Step i
-    # runs from sample i to i + 1 and takes transition trans[i], which holds
-    # the Kalman gain, P_filt F^T and the predicted covariance.  A step whose
-    # length recurs looks up the exact bytes of the filtered covariance it
-    # starts from in its length's cache, and a hit reuses that transition and
-    # the covariance it ended in.  A step whose length is unique is not cached.
-    P0 = np.diag([r, 1.0, 1.0])
-    k0 = (P0 @ hrow) / (float(hrow @ P0 @ hrow) + r)
-    P = (eye - k0[:, None] * hrow) @ P0
-    caches = [{} if c > 1 else None for c in np.bincount(step_of).tolist()]
-    step_list = step_of.tolist()
-    ks = np.empty((n - 1, 3))
-    PFt = np.empty((n - 1, 3, 3))
-    gains = np.empty((n - 1, 3, 3))  # predicted covariances, then RTS gains
-    P_next = np.empty((n - 1, 3, 3))  # filtered covariance a cached transition ends in
-    trans = []
-    m = 0
-    for j in step_list:
-        cache = caches[j]
-        if cache is not None:
-            key = P.tobytes()
-            tr = cache.get(key)
-            if tr is not None:
-                trans.append(tr)
-                P = P_next[tr]
-                continue
-        Fj = F[j]
-        Pp = Fj @ P @ Fj.T + Q[j]
-        k = (Pp @ hrow) / (float(hrow @ Pp @ hrow) + r)
-        ks[m], PFt[m], gains[m] = k, P @ Fj.T, Pp
-        P = (eye - k[:, None] * hrow) @ Pp
-        if cache is not None:
-            cache[key] = m
-            P_next[m] = P
-        trans.append(m)
-        m += 1
+        # Covariance pass.  Sample 0 is updated from the prior itself.  Step
+        # i runs from sample i to i + 1 and takes transition trans[i], which
+        # holds the Kalman gain, P_filt F^T and the predicted covariance.  A
+        # step whose length recurs looks up the exact bytes of the filtered
+        # covariance it starts from in its length's cache, and a hit reuses
+        # that transition and the covariance it ended in.  A step whose
+        # length is unique is not cached.
+        P0 = np.diag([r, 1.0, 1.0])
+        k0 = (P0 @ hrow) / (float(hrow @ P0 @ hrow) + r)
+        P = (eye - k0[:, None] * hrow) @ P0
+        caches = [{} if c > 1 else None for c in np.bincount(step_of).tolist()]
+        step_list = step_of.tolist()
+        ks = np.empty((n - 1, 3))
+        PFt = np.empty((n - 1, 3, 3))
+        gains = np.empty((n - 1, 3, 3))  # predicted covariances, then RTS gains
+        P_next = np.empty((n - 1, 3, 3))  # filtered covariance a cached transition ends in
+        trans = []
+        m = 0
+        for j in step_list:
+            cache = caches[j]
+            if cache is not None:
+                key = P.tobytes()
+                tr = cache.get(key)
+                if tr is not None:
+                    trans.append(tr)
+                    P = P_next[tr]
+                    continue
+            Fj = F[j]
+            Pp = Fj @ P @ Fj.T + Q[j]
+            k = (Pp @ hrow) / (float(hrow @ Pp @ hrow) + r)
+            ks[m], PFt[m], gains[m] = k, P @ Fj.T, Pp
+            P = (eye - k[:, None] * hrow) @ Pp
+            if cache is not None:
+                cache[key] = m
+                P_next[m] = P
+            trans.append(m)
+            m += 1
     del caches, P_next  # before the gains' temporary
+    # Transitions are numbered in time order, so the first one that is not
+    # finite belongs to the first step that overflows.
+    finite = np.isfinite(gains[:m]).all(axis=(1, 2))
+    if not finite.all():
+        d = steps[step_list[trans.index(int(finite.argmin()))]]
+        raise InvalidArgumentError(
+            f"heading time step of {float(d)!r} s is too long: the smoother's "
+            f"predicted covariance overflows (jerk_psd={float(jerk_psd)!r})"
+        )
 
     # RTS gains P_filt F^T inv(P_pred) of the distinct transitions in one
     # stacked call, which makes the same per-matrix BLAS and LAPACK calls as
@@ -176,22 +194,21 @@ def smooth_angular_rate_from_poses(
     np.matmul(PFt[:m], np.linalg.inv(gains[:m]), out=gains[:m])
     del PFt
 
-    # State passes: the filter, then the backward pass.
-    xs_pred = np.empty((n, 3))
+    # State passes: the filter, then the backward pass.  Each state is
+    # written in place into its row (``out=``) and the rows are visited by
+    # iterating the arrays, so no array is allocated or kept per sample.  The
+    # backward pass overwrites each filtered state with the smoothed one.
+    xs_pred = np.empty((n - 1, 3))  # row i: the prediction of sample i + 1
     xs_filt = np.empty((n, 3))
     xp = np.array([z[0], (z[1] - z[0]) / (t[1] - t[0]), 0.0])
-    x = xp + k0 * (z[0] - hrow @ xp)
-    xs_pred[0], xs_filt[0] = xp, x
-    for i, (j, tr) in enumerate(zip(step_list, trans), start=1):
-        xp = F[j].dot(x)
-        x = xp + ks[tr] * (z[i] - hrow.dot(xp))
-        xs_pred[i], xs_filt[i] = xp, x
-
-    omega = np.empty(n)
-    omega[-1] = x[1]
-    for i in range(n - 2, -1, -1):
-        x = xs_filt[i] + gains[trans[i]].dot(x - xs_pred[i + 1])
-        omega[i] = x[1]
+    xs_filt[0] = xp + k0 * (z[0] - hrow @ xp)
+    x = xs_filt[0]
+    for zi, j, tr, xp, x_row in zip(z[1:], step_list, trans, xs_pred, xs_filt[1:]):
+        F[j].dot(x, out=xp)
+        x = np.add(xp, ks[tr] * (zi - hrow.dot(xp)), out=x_row)
+    for xf, xp, tr in zip(xs_filt[-2::-1], xs_pred[::-1], reversed(trans)):
+        x = np.add(xf, gains[tr].dot(x - xp), out=xf)
+    omega = xs_filt[:, 1].copy()
 
     return AngularRateSeries(timestamps=t.copy(), omega=omega)
 

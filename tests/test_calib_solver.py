@@ -294,6 +294,19 @@ def test_jacobian_matches_central_differences():
     assert rel.max() < 1e-5
 
 
+def test_jacobian_is_a_csr_matrix():
+    # The package imports scipy.sparse only inside jacobian().
+    import scipy.sparse
+
+    rng = np.random.default_rng(3)
+    m = 4
+    pairs = pairs_from_arrays(rng.uniform(-1, 1, (m, 2)), rng.uniform(-1, 1, (m, 2)))
+    J = jacobian(unpack(rng.uniform(-1, 1, size=3 * m + 2), m), pairs)
+    assert isinstance(J, scipy.sparse.csr_matrix)
+    assert J.shape == (4 * m, 3 * m + 2)
+    assert J.nnz == 4 * m * 5
+
+
 def test_jacobian_sparsity_pattern():
     rng = np.random.default_rng(2)
     m = 5

@@ -2,6 +2,11 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -509,6 +514,20 @@ def test_recover_scale_failure_writes_nothing(tmp_path, calibrated, flag, capsys
     assert not out.exists()
 
 
+def test_recover_scale_refuses_a_heading_step_that_overflows(tmp_path, calibrated, capsys):
+    _, report, _ = calibrated
+    poses = tmp_path / "poses.csv"
+    poses.write_text("t,heading\n" + "".join(f"{k}e70,{0.01 * k}\n" for k in range(1, 751)))
+    out = tmp_path / "sc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("recover-scale", "--report", report, "--poses", poses, "--out", out)
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "heading time step of 1e+70 s" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, missing", [
     ("calibrate", "--input"),
     ("excitation-check", "--input"),
@@ -574,6 +593,49 @@ def test_commands_write_only_under_out(tmp_path, monkeypatch, capsys):
     after = {p.name for p in tmp_path.iterdir()}
     assert after - before == {"cal"}
     capsys.readouterr()
+
+
+# Run by a fresh interpreter: the commands named in argv[1] (a JSON list of
+# argument lists) through ``cli.main``, then their exit codes and the loaded
+# modules that the commands must not need.
+_COMMANDS_AND_IMPORTS = """
+import json, sys
+from radarcal import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+heavy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or
+               m.startswith("concurrent.futures"))
+print(json.dumps({"codes": codes, "heavy": heavy, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_commands_load_neither_scipy_nor_concurrent_futures(tmp_path):
+    sim = tmp_path / "sim"
+    assert run("simulate", "--out", sim, "--trials", 1, "--sigma", 0.1, "--duration", 10,
+               "--landmarks", 50, "--seed", 5) == cli.EXIT_OK
+    trial = trial_dir(sim, dur="10")
+    poses = tmp_path / "poses.csv"
+    poses.write_text("t,heading\n" + "".join(f"{k / 50},{0.5 * k / 50}\n" for k in range(-50, 650)))
+    report = tmp_path / "cal" / "report.json"
+    commands = [
+        ["calibrate", "--input", trial / "scans.txt", "--out", tmp_path / "cal"],
+        ["calibrate", "--input", trial / "pairs.txt", "--out", tmp_path / "cal_pairs"],
+        ["excitation-check", "--input", trial / "pairs.txt", "--out", tmp_path / "exc"],
+        ["recover-scale", "--report", report, "--poses", poses, "--out", tmp_path / "sc"],
+        ["evaluate", "--input", trial / "pairs.txt", "--report", report,
+         "--truth", trial / "truth.txt", "--out", tmp_path / "ev"],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_AND_IMPORTS,
+         json.dumps([[str(a) for a in argv] for argv in commands])],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [cli.EXIT_OK] * len(commands)
+    assert result["numpy"]
+    assert result["heavy"] == []
 
 
 def test_module_entry_point():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,20 @@ def test_smoother_input_validation():
         for args in ((stamps, np.zeros(10)), (t, headings)):
             with pytest.raises(InvalidArgumentError, match="finite"):
                 smooth_angular_rate_from_poses(*args)
+
+
+@pytest.mark.parametrize("t", [
+    pytest.param(1e70 * np.arange(10.0), id="every-step"),
+    pytest.param(np.r_[0.02 * np.arange(10.0), 1e70 + 1e56 * np.arange(10.0)], id="one-step"),
+])
+def test_smoother_refuses_a_step_whose_covariance_overflows(t):
+    # The fifth power of a 1e70 s step overflows; the smoother must name the
+    # step instead of returning NaN rates, and leak no numpy warning.
+    headings = 0.01 * np.arange(t.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match=r"heading time step of 1e\+70 s"):
+            smooth_angular_rate_from_poses(t, headings)
 
 
 def reference_smoother(timestamps, headings, heading_sigma=0.01, jerk_psd=0.5):
