@@ -583,26 +583,17 @@ def fused_ego_velocities(
     report: CalibrationReport,
     pairs: MeasurementPairs,
     ground_truth=None,
-    mode: str | None = None,
 ) -> dict:
     """Raw and fused ego-velocity error magnitudes for both radars.
 
-    ``mode="simulation"`` compares against supplied ground truth (a
-    :class:`radarcal.simulator.GroundTruth` aligned with the pairs).
-    ``mode="reconstruction"`` needs no truth: each radar is compared against
-    the reconstruction through the calibrated model from the *other* radar's
-    raw measurement, which is the best available reference on real data.
-    Default mode is simulation when truth is given, reconstruction otherwise.
+    With ``ground_truth`` (a :class:`radarcal.simulator.GroundTruth` whose
+    timestamps include the pairs'), each radar is compared against the true
+    motion.  Without it, each radar is compared against the reconstruction
+    through the calibrated model from the *other* radar's raw measurement,
+    which is the best available reference on real data.
 
     Returns ``{"radar_a": {"raw": (M,), "fused": (M,)}, "radar_b": ...}``.
     """
-    if mode is None:
-        mode = "simulation" if ground_truth is not None else "reconstruction"
-    if mode not in ("simulation", "reconstruction"):
-        raise InvalidArgumentError(f"unknown mode {mode!r}")
-    if mode == "simulation" and ground_truth is None:
-        raise InvalidArgumentError("simulation mode requires ground truth")
-
     ext = report.extrinsics
     R = rot2(ext.theta_ba)
     u = lever_unit(ext.theta_t)
@@ -611,7 +602,7 @@ def fused_ego_velocities(
         raise InvalidArgumentError("report and pairs disagree on the number of timesteps")
     fused_b = (v + w[:, None] * u) @ R.T
 
-    if mode == "simulation":
+    if ground_truth is not None:
         # Pairs may be a filtered subset of the truth grid (scans with too
         # few detections dropped, slow pairs removed), so match row by row
         # instead of demanding identical arrays.
@@ -826,7 +817,7 @@ def solve_lm(pairs: MeasurementPairs, options: SolverOptions | None = None) -> C
         mean_velocity_error=velocity_error_metric(pairs, ext),
         velocity_error_table={},
     )
-    errors = fused_ego_velocities(report, pairs, mode="reconstruction")
+    errors = fused_ego_velocities(report, pairs)
     qs = (0.25, 0.5, 0.75, 0.9)
     report.velocity_error_table = {
         radar: {

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import math
 import sys
 from pathlib import Path
@@ -51,9 +50,10 @@ from .errors import (
     NoConsensusError,
     ParseError,
     UnidentifiableError,
+    open_text,
+    utf8_text,
 )
 from .geometry import wrap_axis, wrap_to_pi
-from .pipeline_io import ExperimentMatrix
 from .scale_recovery import (
     DEFAULT_HEADING_SIGMA,
     DEFAULT_JERK_PSD,
@@ -67,6 +67,7 @@ from .simulator import (
     DEFAULT_LANDMARKS,
     DEFAULT_THETA_BA,
     DEFAULT_TRANSLATION,
+    GroundTruth,
     NoiseSpec,
     TrajectoryProfile,
     generate_trajectory,
@@ -100,16 +101,16 @@ def _num_tag(x: float) -> str:
 def _load_config(args) -> pipeline_io.PipelineConfig:
     """The config file (or the defaults) with the command-line overrides
     applied; an override passes the same checks as a file value."""
-    if getattr(args, "config", None):
+    if args.config:
         cfg = pipeline_io.load_config(args.config)
     else:
         cfg = pipeline_io.PipelineConfig()
     overrides = [  # (flag, section or None for the top level, field, value or None)
-        ("--seed", "ransac", "rng_seed", getattr(args, "seed", None)),
+        ("--seed", "ransac", "rng_seed", args.seed),
         ("--no-enforce-excitation", "solver", "enforce_excitation",
          False if getattr(args, "no_enforce_excitation", False) else None),
-        ("--min-speed", None, "min_speed", getattr(args, "min_speed", None)),
-        ("--sync-max-gap", None, "sync_max_gap", getattr(args, "sync_max_gap", None)),
+        ("--min-speed", None, "min_speed", args.min_speed),
+        ("--sync-max-gap", None, "sync_max_gap", args.sync_max_gap),
     ]
     for flag, section, name, value in overrides:
         if value is None:
@@ -142,8 +143,8 @@ def _write_resolved_config(cfg, out: Path, extra_comments=()):
 
 
 def _sniff_header(path) -> str:
-    with open(path) as fh:
-        return fh.readline().strip()
+    with open_text(path) as fh:
+        return utf8_text(fh.readline()).strip()
 
 
 def _pairs_from_input(path, cfg: pipeline_io.PipelineConfig):
@@ -173,36 +174,59 @@ def _pairs_from_input(path, cfg: pipeline_io.PipelineConfig):
 # simulate
 
 
-def _write_trial(trial_dir: Path, key: tuple, profile: TrajectoryProfile, noise: NoiseSpec,
-                 theta_ba: float, translation, landmarks: int | None) -> None:
+def _write_trial(trial_dir: Path, key: tuple, truth: GroundTruth, noise: NoiseSpec,
+                 landmarks: np.ndarray | None) -> None:
     """One self-contained simulation trial; safe to run in a worker process.
 
     All randomness derives from ``key``, the (seed, sigma, duration, trial)
-    indices, so the output is identical no matter how trials are distributed
-    over workers.  ``landmarks=None`` writes no scans.
+    indices, from which the caller also samples ``landmarks``, so the output
+    is identical no matter how trials are distributed over workers.
+    ``landmarks=None`` writes no scans.
     """
-    truth = generate_trajectory(profile, theta_ba=theta_ba, translation=translation)
     trial_dir.mkdir(parents=True, exist_ok=True)
     pipeline_io.save_truth(truth, trial_dir / "truth.txt")
     pairs = simulate_pairs(truth, noise, rng_seed=np.random.SeedSequence(key + (0,)))
     pipeline_io.save_pairs(pairs, trial_dir / "pairs.txt")
     if landmarks is not None:
-        points = sample_landmarks(truth, n=landmarks, rng_seed=np.random.SeedSequence(key + (1,)))
-        sim = simulate_scans(truth, points, noise, rng_seed=np.random.SeedSequence(key + (2,)))
+        sim = simulate_scans(truth, landmarks, noise, rng_seed=np.random.SeedSequence(key + (2,)))
         pipeline_io.save_scans(sim.scans, trial_dir / "scans.txt")
 
 
 def cmd_simulate(args) -> int:
+    """Every input is checked, and every trajectory and landmark field
+    built, before ``--out`` is created, so a bad flag writes nothing."""
     if args.jobs < 1:
         raise InvalidArgumentError("--jobs must be >= 1")
+    if args.trials < 1:
+        raise InvalidArgumentError("--trials must be >= 1")
     noises = [NoiseSpec(sigma, args.detection_sigma, args.outlier_fraction) for sigma in args.sigma]
-    cfg = pipeline_io.PipelineConfig()
-    cfg.experiment = ExperimentMatrix(args.trials, tuple(args.sigma), tuple(args.duration))
+    truths = [
+        generate_trajectory(
+            TrajectoryProfile(kind=args.profile, duration=duration, rate=args.rate,
+                              speed=args.speed, omega=args.omega),
+            theta_ba=args.theta_ba, translation=args.translation,
+        )
+        for duration in args.duration
+    ]
+    jobs = []
+    cells = []
+    for si, (sigma, noise) in enumerate(zip(args.sigma, noises)):
+        for di, (duration, truth) in enumerate(zip(args.duration, truths)):
+            cell = Path(args.out) / f"sigma_{_num_tag(sigma)}" / f"dur_{_num_tag(duration)}"
+            cells.append(cell)
+            for k in range(args.trials):
+                key = (args.seed, si, di, k)
+                landmarks = sample_landmarks(
+                    truth, n=args.landmarks, rng_seed=np.random.SeedSequence(key + (1,))
+                ) if args.scans else None
+                jobs.append((cell / f"trial_{k}", key, truth, noise, landmarks))
     out = _outdir(args)
     _write_resolved_config(
-        cfg,
+        pipeline_io.PipelineConfig(),
         out,
         extra_comments=[
+            f"simulate sigma={','.join(map(repr, args.sigma))} "
+            f"duration={','.join(map(repr, args.duration))} trials={args.trials}",
             f"simulate profile={args.profile} rate={_num_tag(args.rate)} seed={args.seed}",
             f"simulate theta_ba={args.theta_ba!r} translation={args.translation!r}",
             f"simulate scans={'on' if args.scans else 'off'} landmarks={args.landmarks} "
@@ -210,32 +234,14 @@ def cmd_simulate(args) -> int:
             f"simulate jobs={args.jobs}",
         ],
     )
-    write = functools.partial(
-        _write_trial, theta_ba=args.theta_ba, translation=args.translation,
-        landmarks=args.landmarks if args.scans else None,
-    )
-    jobs = []
-    cells = []
-    for si, (sigma, noise) in enumerate(zip(args.sigma, noises)):
-        for di, duration in enumerate(args.duration):
-            profile = TrajectoryProfile(
-                kind=args.profile, duration=duration, rate=args.rate, speed=args.speed,
-                omega=args.omega,
-            )
-            cell = out / f"sigma_{_num_tag(sigma)}" / f"dur_{_num_tag(duration)}"
-            cells.append(cell)
-            jobs += [
-                (cell / f"trial_{k}", (args.seed, si, di, k), profile, noise)
-                for k in range(args.trials)
-            ]
     if args.jobs > 1 and len(jobs) > 1:
         import concurrent.futures  # only here: it also loads logging
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(write, *zip(*jobs), chunksize=4))
+            list(pool.map(_write_trial, *zip(*jobs), chunksize=4))
     else:
         for job in jobs:
-            write(*job)
+            _write_trial(*job)
     for cell in cells:
         print(f"wrote {args.trials} trials under {cell}")
     print(f"simulated {len(jobs)} trials total")
@@ -356,7 +362,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_recover_scale(args) -> int:
-    cfg = _load_config(args)
     report = pipeline_io.read_report(args.report)
     if args.rates:
         series = load_angular_rate_csv(args.rates)
@@ -368,7 +373,7 @@ def cmd_recover_scale(args) -> int:
     result = recover_scale(report, series, min_rate=args.min_rate)
     out = _outdir(args)  # only once the scale is recovered, so a failure writes nothing
     _write_resolved_config(
-        cfg,
+        pipeline_io.PipelineConfig(),
         out,
         extra_comments=[
             f"recover-scale report={args.report} source="
@@ -417,11 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=TrajectoryProfile.kind,
         choices=("periodic_default", "constant_omega", "straight_line"),
     )
-    p.add_argument("--duration", nargs="+", type=float, default=ExperimentMatrix.durations,
+    p.add_argument("--duration", nargs="+", type=float, default=(15.0, 120.0),
                    help="sweep of durations in seconds")
-    p.add_argument("--sigma", nargs="+", type=float, default=ExperimentMatrix.sigmas,
+    p.add_argument("--sigma", nargs="+", type=float, default=(0.05, 0.1, 0.2),
                    help="sweep of velocity noise levels in m/s")
-    p.add_argument("--trials", type=int, default=ExperimentMatrix.trials)
+    p.add_argument("--trials", type=int, default=100, help="trials per sweep cell")
     p.add_argument("--rate", type=float, default=TrajectoryProfile.rate,
                    help="samples per second")
     p.add_argument("--seed", type=int, default=0)
@@ -432,9 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="forward speed for the constant profiles")
     p.add_argument("--omega", type=float, default=TrajectoryProfile.omega,
                    help="turn rate for the constant_omega profile")
-    p.add_argument("--scans", dest="scans", action="store_true", default=True,
-                   help="also write detection-level scans (default)")
-    p.add_argument("--no-scans", dest="scans", action="store_false")
+    p.add_argument("--no-scans", dest="scans", action="store_false",
+                   help="write no detection-level scans")
     p.add_argument("--landmarks", type=int, default=DEFAULT_LANDMARKS)
     p.add_argument("--detection-sigma", type=float, default=NoiseSpec.detection_sigma)
     p.add_argument("--outlier-fraction", type=float, default=NoiseSpec.outlier_fraction)
@@ -465,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover-scale", help="metric scale from an external rate source")
     p.add_argument("--report", required=True, help="report.json from calibrate")
-    p.add_argument("--config", help="pipeline config file")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--rates", help="CSV of timestamp,angular_rate")
     src.add_argument("--poses", help="CSV of timestamp,heading; rates come from smoothing")

@@ -1,4 +1,5 @@
-"""Exception types raised across the calibration pipeline.
+"""Exception types raised across the calibration pipeline, and the check
+that turns an input byte that is not UTF-8 into a :class:`ParseError`.
 
 Everything derives from :class:`CalibrationError` so callers can catch one
 base class at pipeline boundaries.  The CLI maps each subclass to a distinct
@@ -67,3 +68,28 @@ class ParseError(CalibrationError, ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def open_text(path, newline=None):
+    """Open a UTF-8 text input for reading.
+
+    A byte that is not UTF-8 is kept as a surrogate escape instead of
+    failing the block being decoded, so that :func:`utf8_text` can refuse
+    it with the number of its line.
+    """
+    return open(path, encoding="utf-8", errors="surrogateescape", newline=newline)
+
+
+def utf8_text(text: str, lineno: int = 1) -> str:
+    """``text``, read by :func:`open_text` from line ``lineno`` on, if all of
+    it was UTF-8; otherwise a ParseError naming the line of the first byte
+    that was not."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(text[exc.start]) - 0xDC00
+            raise ParseError(
+                f"byte 0x{byte:02x} is not UTF-8 text", lineno + text.count("\n", 0, exc.start)
+            ) from None
+    return text

@@ -49,7 +49,7 @@ from .ego_velocity import (
     RansacConfig,
     ransac_scans,
 )
-from .errors import InvalidArgumentError, ParseError
+from .errors import InvalidArgumentError, ParseError, open_text, utf8_text
 from .identifiability import ExcitationReport, ExcitationThresholds
 
 SCANS_HEADER = "# radarcal scans 1"
@@ -65,31 +65,12 @@ DEFAULT_MAX_GAP = 0.2
 
 
 @dataclass
-class ExperimentMatrix:
-    """Sweep shape for simulation studies."""
-
-    trials: int = 100
-    sigmas: tuple = (0.05, 0.1, 0.2)
-    durations: tuple = (15.0, 120.0)
-
-    def __post_init__(self):
-        # Written as ``not (...)`` so that NaN fails every check.
-        if not self.trials >= 1:
-            raise InvalidArgumentError(f"trials must be >= 1, got {self.trials}")
-        if not (self.sigmas and all(0.0 <= s < math.inf for s in self.sigmas)):
-            raise InvalidArgumentError(f"sigmas must be finite and >= 0, got {self.sigmas}")
-        if not (self.durations and all(0.0 < d < math.inf for d in self.durations)):
-            raise InvalidArgumentError(f"durations must be finite and > 0, got {self.durations}")
-
-
-@dataclass
 class PipelineConfig:
     """Everything a calibration run needs beyond its input files."""
 
     ransac: RansacConfig = field(default_factory=RansacConfig)
     solver: SolverOptions = field(default_factory=SolverOptions)
     excitation: ExcitationThresholds = field(default_factory=ExcitationThresholds)
-    experiment: ExperimentMatrix = field(default_factory=ExperimentMatrix)
     min_speed: float = DEFAULT_MIN_SPEED
     sync_max_gap: float = DEFAULT_MAX_GAP
 
@@ -116,7 +97,7 @@ def _parse_float(tok: str, lineno: int, what: str) -> float:
 
 
 def _check_header(line: str, expected: str, lineno: int = 1):
-    if line.strip() != expected:
+    if utf8_text(line, lineno).strip() != expected:
         raise ParseError(f"expected header {expected!r}, found {line.strip()!r}", lineno)
 
 
@@ -154,11 +135,10 @@ def load_scans(path) -> dict[str, list[RadarScan]]:
     """Read a scan file into per-radar streams sorted by timestamp."""
     streams: dict[str, list[RadarScan]] = {}
     seen = set()
-    with open(path) as fh:
-        first = fh.readline()
-        _check_header(first, SCANS_HEADER)
+    with open_text(path) as fh:
+        _check_header(fh.readline(), SCANS_HEADER)
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
+            line = utf8_text(line, lineno).strip()
             if not line or line.startswith("#"):
                 continue
             toks = line.split()
@@ -214,10 +194,10 @@ def load_pairs(path) -> MeasurementPairs:
     sorted by timestamp."""
     rows = []
     seen = set()
-    with open(path) as fh:
+    with open_text(path) as fh:
         _check_header(fh.readline(), PAIRS_HEADER)
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
+            line = utf8_text(line, lineno).strip()
             if not line or line.startswith("#"):
                 continue
             toks = line.split()
@@ -274,10 +254,10 @@ def load_truth(path):
     theta_ba = None
     translation = None
     rows = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         _check_header(fh.readline(), TRUTH_HEADER)
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
+            line = utf8_text(line, lineno).strip()
             if not line or line.startswith("#"):
                 continue
             toks = line.split()
@@ -391,8 +371,8 @@ def _config_fields() -> dict:
     """Config key -> (section, attribute, type), read off the dataclasses.
 
     Every field of :class:`PipelineConfig` or of one of its sections whose
-    default is a number, a flag or a tuple of floats is a key; fields that
-    default to ``None`` stay library-only.
+    default is a number or a flag is a key; fields that default to ``None``
+    stay library-only.
     """
     sections = [(None, PipelineConfig)] + [
         (f.name, f.default_factory) for f in fields(PipelineConfig) if f.default_factory is not MISSING
@@ -400,8 +380,8 @@ def _config_fields() -> dict:
     out = {}
     for section, cls in sections:
         for f in fields(cls):
-            typ = "floats" if isinstance(f.default, tuple) else type(f.default)
-            if typ in (bool, int, float, "floats"):
+            typ = type(f.default)
+            if typ in (bool, int, float):
                 out[f.name if section is None else f"{section}.{f.name}"] = (section, f.name, typ)
     return out
 
@@ -415,9 +395,7 @@ def serialize_config(cfg: PipelineConfig) -> str:
         section, attr, typ = _CONFIG_FIELDS[key]
         obj = cfg if section is None else getattr(cfg, section)
         val = getattr(obj, attr)
-        if typ == "floats":
-            text = ",".join(_fmt(v) for v in val)
-        elif typ is bool:
+        if typ is bool:
             text = "true" if val else "false"
         elif typ is float:
             text = _fmt(val)
@@ -449,9 +427,7 @@ def parse_config(text: str) -> PipelineConfig:
             raise ParseError(f"unknown config key {key!r}", lineno)
         section, attr, typ = _CONFIG_FIELDS[key]
         try:
-            if typ == "floats":
-                val = tuple(float(v) for v in raw.split(",") if v.strip())
-            elif typ is bool:
+            if typ is bool:
                 if raw not in ("true", "false"):
                     raise ValueError(raw)
                 val = raw == "true"
@@ -459,7 +435,7 @@ def parse_config(text: str) -> PipelineConfig:
                 val = typ(raw)
         except ValueError:
             raise ParseError(f"bad value {raw!r} for {key}", lineno)
-        if any(math.isnan(v) for v in (val if typ == "floats" else (val,))):
+        if typ is float and math.isnan(val):
             raise ParseError(f"{key} must not be NaN", lineno)
         read.setdefault(section, []).append((attr, val, key, lineno))
     cfg = PipelineConfig()
@@ -485,8 +461,8 @@ def save_config(cfg: PipelineConfig, path):
 
 
 def load_config(path) -> PipelineConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    with open_text(path) as fh:
+        return parse_config(utf8_text(fh.read()))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +489,8 @@ def _field(d, key: str, what: str):
 
 
 def _array_field(d, key: str, what: str, shape: tuple) -> np.ndarray:
-    """Field ``key`` as a float array of ``shape``; a ``None`` length matches any."""
+    """Field ``key`` as a finite float array of ``shape``; a ``None`` length
+    matches any."""
     try:
         arr = np.array(_field(d, key, what), dtype=float)
     except (TypeError, ValueError):
@@ -521,6 +498,8 @@ def _array_field(d, key: str, what: str, shape: tuple) -> np.ndarray:
     if arr.ndim != len(shape) or any(n is not None and n != k for n, k in zip(shape, arr.shape)):
         want = "(" + ", ".join("M" if n is None else str(n) for n in shape) + ")"
         raise ParseError(f"{what} field {key!r} has shape {arr.shape}, expected {want}")
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{what} field {key!r} is not finite")
     return arr
 
 
@@ -563,7 +542,8 @@ def report_to_dict(report: CalibrationReport) -> dict:
 
 def report_from_dict(d: dict) -> CalibrationReport:
     """A calibration report from its JSON form; a missing field, or an array
-    field of the wrong shape, raises ParseError naming the field."""
+    field of the wrong shape or with a value that is not finite, raises
+    ParseError naming the field."""
     what = "calibration report"
     if _field(d, "format", what) != REPORT_FORMAT:
         raise ParseError(f"not a calibration report: format {d['format']!r}")
@@ -599,8 +579,8 @@ def write_json(payload: dict, path):
 
 def read_json(path) -> dict:
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open_text(path) as fh:
+            return json.loads(utf8_text(fh.read()))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}")
 

@@ -20,12 +20,15 @@ blow-up of direct finite differences.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientExcitationError, InvalidArgumentError, ParseError
+from .errors import (
+    InsufficientExcitationError, InvalidArgumentError, ParseError, open_text, utf8_text,
+)
 
 DEFAULT_MIN_RATE = 0.1   # rad/s, reference rates below this are unreliable divisors
 DEFAULT_HEADING_SIGMA = 0.01  # rad, heading noise assumed by the pose smoother
@@ -177,22 +180,30 @@ def smooth_angular_rate_from_poses(
             trans.append(m)
             m += 1
     del caches, P_next  # before the gains' temporary
-    # Transitions are numbered in time order, so the first one that is not
-    # finite belongs to the first step that overflows.
-    finite = np.isfinite(gains[:m]).all(axis=(1, 2))
-    if not finite.all():
-        d = steps[step_list[trans.index(int(finite.argmin()))]]
+
+    def refuse(tr: int, what: str):
+        # Transitions are numbered in time order, so the first one refused
+        # belongs to the first step that fails.
+        d = steps[step_list[trans.index(tr)]]
         raise InvalidArgumentError(
             f"heading time step of {float(d)!r} s is too long: the smoother's "
-            f"predicted covariance overflows (jerk_psd={float(jerk_psd)!r})"
+            f"predicted covariance {what} (jerk_psd={float(jerk_psd)!r})"
         )
+
+    finite = np.isfinite(gains[:m]).all(axis=(1, 2))
+    if not finite.all():
+        refuse(int(finite.argmin()), "overflows")
 
     # RTS gains P_filt F^T inv(P_pred) of the distinct transitions in one
     # stacked call, which makes the same per-matrix BLAS and LAPACK calls as
     # the 3x3 products.  They overwrite the predicted covariances, so the
     # stack of inverses is the only temporary.
-    np.matmul(PFt[:m], np.linalg.inv(gains[:m]), out=gains[:m])
-    del PFt
+    try:
+        inverses = np.linalg.inv(gains[:m])
+    except np.linalg.LinAlgError:
+        refuse(next(i for i in range(m) if _is_singular(gains[i])), "is singular")
+    np.matmul(PFt[:m], inverses, out=gains[:m])
+    del PFt, inverses
 
     # State passes: the filter, then the backward pass.  Each state is
     # written in place into its row (``out=``) and the rows are visited by
@@ -211,6 +222,14 @@ def smooth_angular_rate_from_poses(
     omega = xs_filt[:, 1].copy()
 
     return AngularRateSeries(timestamps=t.copy(), omega=omega)
+
+
+def _is_singular(a: np.ndarray) -> bool:
+    try:
+        np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
 
 def recover_scale(
@@ -254,8 +273,9 @@ def _load_two_column_csv(path, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Strict two-float-column CSV; one optional non-numeric header row."""
     col0 = []
     col1 = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+    with open_text(path, newline="") as fh:
+        lines = map(utf8_text, fh, itertools.count(1))
+        for lineno, row in enumerate(csv.reader(lines), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if row[0].lstrip().startswith("#"):

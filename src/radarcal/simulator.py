@@ -17,7 +17,7 @@ range rates with gross outliers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,7 +41,8 @@ class TrajectoryProfile:
     ``period``; ``constant_omega`` and ``straight_line`` move at constant
     body velocity ``(speed, 0)`` with turn rate ``omega`` and zero
     respectively; ``custom_harmonics`` sums ``(amplitude, frequency_hz,
-    phase)`` sine terms per channel on top of the offsets.
+    phase)`` sine terms per channel on top of the offsets.  Every float
+    field must be finite, and ``duration``, ``rate`` and ``period`` positive.
     """
 
     kind: str = "periodic_default"
@@ -61,6 +62,19 @@ class TrajectoryProfile:
     vy_harmonics: tuple = ()
     omega_harmonics: tuple = ()
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise InvalidArgumentError(f"unknown trajectory kind {self.kind!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidArgumentError(f"trajectory {f.name} must be finite, got {value!r}")
+        if not (self.duration > 0 and self.rate > 0 and self.period > 0):
+            raise InvalidArgumentError(
+                f"duration, rate and period must be positive, got {self.duration!r}, "
+                f"{self.rate!r} and {self.period!r}"
+            )
+
 
 @dataclass
 class NoiseSpec:
@@ -71,8 +85,10 @@ class NoiseSpec:
     outlier_fraction: float = 0.0        # fraction of detections made gross outliers
 
     def __post_init__(self):
-        if self.sigma_r < 0 or self.detection_sigma < 0:
-            raise InvalidArgumentError("noise sigmas must be >= 0")
+        for name in ("sigma_r", "detection_sigma"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # NaN fails too
+                raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value!r}")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise InvalidArgumentError("outlier_fraction must be in [0, 1)")
 
@@ -165,10 +181,9 @@ def generate_trajectory(
     translation=DEFAULT_TRANSLATION,
 ) -> GroundTruth:
     """Sample a motion profile into a ground-truth record."""
-    if profile.kind not in KINDS:
-        raise InvalidArgumentError(f"unknown trajectory kind {profile.kind!r}")
-    if profile.duration <= 0 or profile.rate <= 0:
-        raise InvalidArgumentError("duration and rate must be positive")
+    theta_ba = float(theta_ba)
+    if not math.isfinite(theta_ba):
+        raise InvalidArgumentError(f"theta_ba must be finite, got {theta_ba!r}")
     translation = np.asarray(translation, dtype=float)
     if translation.shape != (2,) or not np.all(np.isfinite(translation)):
         raise InvalidArgumentError("translation must be a finite 2-vector")
@@ -208,7 +223,7 @@ def generate_trajectory(
         v_a=np.stack([vx, vy], axis=1),
         omega=omega,
         alpha=alpha,
-        theta_ba=float(theta_ba),
+        theta_ba=theta_ba,
         translation=translation,
     )
 
@@ -239,7 +254,7 @@ def sample_landmarks(
 ) -> np.ndarray:
     """Static landmarks scattered in annuli around random points of the path."""
     if n < 1 or r_min <= 0 or r_max <= r_min:
-        raise InvalidArgumentError("need n >= 1 and 0 < r_min < r_max")
+        raise InvalidArgumentError(f"need n >= 1 landmarks and 0 < r_min < r_max, got n={n}")
     rng = np.random.default_rng(rng_seed)
     p_a, _, _, _ = truth.world_poses()
     anchors = p_a[rng.integers(0, p_a.shape[0], size=n)]

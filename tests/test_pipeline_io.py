@@ -370,7 +370,6 @@ def test_config_serialization_round_trip(tmp_path):
     cfg.solver.gradient_tol = 1.25e-9
     cfg.ransac.rng_seed = 99
     cfg.excitation.align_tol = 0.07
-    cfg.experiment.sigmas = (0.01, 0.3)
     cfg.min_speed = 0.11
     text = serialize_config(cfg)
     back = parse_config(text)
@@ -379,7 +378,6 @@ def test_config_serialization_round_trip(tmp_path):
     assert back.solver.gradient_tol == 1.25e-9
     assert back.ransac.rng_seed == 99
     assert back.excitation.align_tol == 0.07
-    assert back.experiment.sigmas == (0.01, 0.3)
     assert back.min_speed == 0.11
 
     path = tmp_path / "config.txt"
@@ -405,8 +403,7 @@ def test_config_rejects_unknown_keys_and_bad_values():
 
 CONFIG_KEYS = [
     "excitation.align_tol", "excitation.alpha_abs_floor", "excitation.alpha_rel_tol",
-    "excitation.det_rel_tol", "excitation.flag_fraction", "excitation.speed_floor",
-    "experiment.durations", "experiment.sigmas", "experiment.trials", "min_speed",
+    "excitation.det_rel_tol", "excitation.flag_fraction", "excitation.speed_floor", "min_speed",
     "ransac.inlier_fraction_threshold", "ransac.max_iterations", "ransac.residual_threshold",
     "ransac.rng_seed", "solver.cov_floor", "solver.enforce_excitation", "solver.gradient_tol",
     "solver.grid_init_max_pairs", "solver.lambda0", "solver.lambda_down", "solver.lambda_max",
@@ -423,7 +420,7 @@ def test_config_keys_are_pinned():
 
 
 @pytest.mark.parametrize(
-    "key", sorted(k for k, (_, _, typ) in _CONFIG_FIELDS.items() if typ in (float, "floats"))
+    "key", sorted(k for k, (_, _, typ) in _CONFIG_FIELDS.items() if typ is float)
 )
 def test_config_rejects_nan_for_every_float_key(key):
     with pytest.raises(ParseError) as exc:
@@ -440,9 +437,9 @@ def test_config_values_pass_the_dataclass_checks():
     assert cfg.solver.restart_cost_ratio == math.inf
 
 
-@pytest.mark.parametrize("key", sorted(
-    k for k, (section, _, typ) in _CONFIG_FIELDS.items() if typ is float and section != "experiment"
-))
+@pytest.mark.parametrize(
+    "key", sorted(k for k, (_, _, typ) in _CONFIG_FIELDS.items() if typ is float)
+)
 def test_option_dataclasses_refuse_nan_built_in_code(key):
     section, attr, _ = _CONFIG_FIELDS[key]
     cfg = PipelineConfig()

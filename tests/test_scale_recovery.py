@@ -168,6 +168,15 @@ def test_smoother_refuses_a_step_whose_covariance_overflows(t):
             smooth_angular_rate_from_poses(t, headings)
 
 
+@pytest.mark.parametrize("step, jerk_psd", [(1e10, 1e-100), (1e9, 1e-30), (1e8, 1e-50)])
+def test_smoother_refuses_a_step_whose_covariance_is_singular(step, jerk_psd):
+    # So long a step with so small a jerk density leaves a predicted
+    # covariance that cannot be inverted; the smoother must name the step.
+    t = step * np.arange(1.0, 60.0)
+    with pytest.raises(InvalidArgumentError, match=rf"step of {step!r} s .* singular"):
+        smooth_angular_rate_from_poses(t, 0.01 * np.arange(t.size), jerk_psd=jerk_psd)
+
+
 def reference_smoother(timestamps, headings, heading_sigma=0.01, jerk_psd=0.5):
     """The per-sample filter and backward pass, matrices and gains built at
     every step, kept as the reference for ``smooth_angular_rate_from_poses``."""

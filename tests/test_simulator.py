@@ -69,6 +69,14 @@ def test_generate_trajectory_validation():
         generate_trajectory(TrajectoryProfile(kind="warp_drive"))
     with pytest.raises(InvalidArgumentError):
         generate_trajectory(TrajectoryProfile(duration=-1.0))
+    # The profile refuses a bad value when it is built, before any sampling.
+    for field, value in (("duration", math.nan), ("rate", math.inf), ("rate", math.nan),
+                         ("rate", 0.0), ("speed", math.nan), ("omega", -math.inf),
+                         ("period", math.nan), ("period", 0.0)):
+        with pytest.raises(InvalidArgumentError, match=field):
+            TrajectoryProfile(**{field: value})
+    with pytest.raises(InvalidArgumentError, match="theta_ba"):
+        generate_trajectory(TrajectoryProfile(), theta_ba=math.nan)
     with pytest.raises(InvalidArgumentError):
         generate_trajectory(TrajectoryProfile(), translation=(0.0, 0.0))
     with pytest.raises(InvalidArgumentError):
@@ -164,6 +172,10 @@ def test_simulate_pairs_deterministic_per_seed():
 def test_noise_spec_validation():
     with pytest.raises(InvalidArgumentError):
         NoiseSpec(sigma_r=-0.1)
+    for field, value in (("sigma_r", math.nan), ("sigma_r", math.inf),
+                         ("detection_sigma", math.nan), ("detection_sigma", math.inf)):
+        with pytest.raises(InvalidArgumentError, match=field):
+            NoiseSpec(**{field: value})
     with pytest.raises(InvalidArgumentError):
         NoiseSpec(outlier_fraction=1.0)
 
