@@ -53,6 +53,21 @@ if TYPE_CHECKING:
 # inverted into weights; keeps noise-free (zero covariance) data usable.
 COV_FLOOR = 1e-6
 
+# Levenberg-Marquardt schedule (Marquardt, SIAM J. Appl. Math. 1963): the
+# damping starts at LM_LAMBDA0, grows by LM_LAMBDA_UP after a rejected step
+# and shrinks by LM_LAMBDA_DOWN after an accepted one; a step still rejected
+# above LM_LAMBDA_MAX ends the descent.  Convergence is declared when the
+# gradient infinity norm drops below GRADIENT_TOL, or an accepted step
+# reduces the cost by less than RELATIVE_COST_TOL of its value, or moves no
+# parameter by more than STEP_TOL.
+LM_LAMBDA0 = 1e-3
+LM_LAMBDA_UP = 10.0
+LM_LAMBDA_DOWN = 10.0
+LM_LAMBDA_MAX = 1e12
+GRADIENT_TOL = 1e-8
+RELATIVE_COST_TOL = 1e-12
+STEP_TOL = 1e-14
+
 DEFAULT_MIN_SPEED = 0.05   # m/s, speeds below this carry no usable direction
 DEFAULT_MIN_LEVER = 0.05   # m/s, lever-arm velocities below this are noise
 
@@ -111,26 +126,12 @@ class CalibState:
 
 @dataclass
 class SolverOptions:
-    """Tuning knobs for :func:`solve_lm`; defaults suit radar-rate data.
-
-    Convergence is declared when the gradient infinity norm drops below
-    ``gradient_tol``, or an accepted step reduces the cost by less than
-    ``relative_cost_tol`` of its value, or moves no parameter by more than
-    ``step_tol``.
-    """
+    """Tuning knobs for :func:`solve_lm`; defaults suit radar-rate data."""
 
     max_iterations: int = 100
-    gradient_tol: float = 1e-8
-    relative_cost_tol: float = 1e-12
-    step_tol: float = 1e-14
-    lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 10.0
-    lambda_max: float = 1e12
     init_k: int | None = None
     min_speed: float = DEFAULT_MIN_SPEED
     min_lever: float = DEFAULT_MIN_LEVER
-    cov_floor: float = COV_FLOOR
     enforce_excitation: bool = True
     max_degenerate_fraction: float = 0.5
     restart_cost_ratio: float = 10.0
@@ -138,17 +139,10 @@ class SolverOptions:
     excitation_thresholds: ExcitationThresholds | None = None
 
     def __post_init__(self):
-        # Outside these bounds LM retries a rejected step forever or divides by zero.
-        if not 0.0 < self.lambda0 <= self.lambda_max < math.inf:
-            raise InvalidArgumentError("need 0 < lambda0 <= lambda_max < inf")
-        if not (self.lambda_up > 1.0 and self.lambda_down > 0.0):
-            raise InvalidArgumentError("need lambda_up > 1 and lambda_down > 0")
         if self.max_iterations < 0:
             raise InvalidArgumentError("max_iterations must be >= 0")
         # Written as ``not (...)`` so that NaN fails every check.
-        if not 0.0 <= self.cov_floor < math.inf:
-            raise InvalidArgumentError("need 0 <= cov_floor < inf")
-        for name in ("gradient_tol", "relative_cost_tol", "step_tol", "min_speed", "min_lever"):
+        for name in ("min_speed", "min_lever"):
             if not getattr(self, name) >= 0.0:
                 raise InvalidArgumentError(f"{name} must be >= 0")
         if not 0.0 <= self.max_degenerate_fraction <= 1.0:
@@ -187,21 +181,28 @@ class _Weights:
     Wb: np.ndarray    # (M, 2, 2)
 
 
-def _inv_psd_2x2(covs: np.ndarray, floor: float, what: str) -> np.ndarray:
-    """Invert a stack of floored 2x2 covariances, validating positivity."""
-    s = covs + floor * np.eye(2)
+def _inv_psd_2x2(covs: np.ndarray, what: str, timestamps: np.ndarray) -> np.ndarray:
+    """Invert a stack of 2x2 covariances floored by ``COV_FLOOR``, validating
+    positivity; one whose determinant or inverse is not finite is refused,
+    naming the timestamp of its pair."""
+    s = covs + COV_FLOOR * np.eye(2)
     a = s[:, 0, 0]
     b = s[:, 0, 1]
     c = s[:, 1, 1]
-    det = a * c - b * b
-    asym = np.abs(s[:, 0, 1] - s[:, 1, 0])
+    out = np.empty_like(s)
+    with np.errstate(all="ignore"):  # what overflows is refused below
+        det = a * c - b * b
+        asym = np.abs(s[:, 0, 1] - s[:, 1, 0])
+        out[:, 0, 0] = c / det
+        out[:, 1, 1] = a / det
+        out[:, 0, 1] = -b / det
+        out[:, 1, 0] = -b / det
     if np.any(a <= 0) or np.any(det <= 0) or np.any(asym > 1e-9 * (1 + np.abs(b))):
         raise InvalidWeightError(f"{what} covariance is not symmetric positive definite")
-    out = np.empty_like(s)
-    out[:, 0, 0] = c / det
-    out[:, 1, 1] = a / det
-    out[:, 0, 1] = -b / det
-    out[:, 1, 0] = -b / det
+    bad = ~(np.isfinite(det) & np.isfinite(out).all(axis=(1, 2)))
+    if np.any(bad):
+        t = timestamps[np.argmax(bad)]
+        raise InvalidWeightError(f"{what} covariance of the pair at t={t!r} is too large to invert")
     return out
 
 
@@ -217,12 +218,12 @@ def _whiteners(P: np.ndarray) -> np.ndarray:
     return W
 
 
-def _weights(pairs: MeasurementPairs, cov_floor: float = COV_FLOOR) -> _Weights:
+def _weights(pairs: MeasurementPairs) -> _Weights:
     """The one conversion of the pairs' covariances into weights."""
     if not len(pairs):
         raise InsufficientDataError("no measurement pairs supplied")
-    Pa = _inv_psd_2x2(pairs.cov_a, cov_floor, "radar a")
-    Pb = _inv_psd_2x2(pairs.cov_b, cov_floor, "radar b")
+    Pa = _inv_psd_2x2(pairs.cov_a, "radar a", pairs.timestamps)
+    Pb = _inv_psd_2x2(pairs.cov_b, "radar b", pairs.timestamps)
     return _Weights(Pa=Pa, Pb=Pb, Wa=_whiteners(Pa), Wb=_whiteners(Pb))
 
 
@@ -358,7 +359,7 @@ def assess_excitation(
     ``max_degenerate_fraction`` of the timesteps degenerate.
     """
     opts = options or SolverOptions()
-    return _assess_excitation(pairs, _weights(pairs, opts.cov_floor), opts)[0]
+    return _assess_excitation(pairs, _weights(pairs), opts)[0]
 
 
 def _assess_excitation(pairs: MeasurementPairs, wt: _Weights, opts: SolverOptions):
@@ -494,7 +495,6 @@ def unconstrained_cost(
     omega: np.ndarray,
     t_vec: np.ndarray,
     theta_ba: float,
-    cov_floor: float = COV_FLOOR,
 ) -> float:
     """Weighted cost in the raw ``(omega, t)`` parametrization, ``|t|`` free.
 
@@ -502,7 +502,7 @@ def unconstrained_cost(
     scale-free parametrization.  Rescaling ``omega -> g * omega`` together
     with ``t -> t / g`` leaves this value unchanged.
     """
-    wt = _weights(pairs, cov_floor)
+    wt = _weights(pairs)
     v = np.asarray(v, dtype=float)
     omega = np.asarray(omega, dtype=float)
     t_vec = np.asarray(t_vec, dtype=float)
@@ -655,7 +655,7 @@ def _run_lm(
 
     r4 = _residual_matrix(pairs, wt, v, w, tht, thb)
     cost = float(np.sum(r4 * r4))
-    lam = opts.lambda0
+    lam = LM_LAMBDA0
     converged = False
     termination = "max_iterations"
     iterations = 0
@@ -665,17 +665,17 @@ def _run_lm(
         A, B = _jacobian_blocks(wt, v, w, tht, thb)
         Hmm, Hme, Hee, gm, ge = _gauss_newton_blocks(A, B, r4)
         ginf = max(float(np.max(np.abs(gm))), float(np.max(np.abs(ge))))
-        if ginf < opts.gradient_tol:
+        if ginf < GRADIENT_TOL:
             converged = True
             termination = "gradient"
             break
 
         accepted = False
-        while lam <= opts.lambda_max:
+        while lam <= LM_LAMBDA_MAX:
             try:
                 dm, de = _schur_step(Hmm, Hme, Hee, gm, ge, lam)
             except np.linalg.LinAlgError:
-                lam *= opts.lambda_up
+                lam *= LM_LAMBDA_UP
                 continue
             v_new = v + dm[:, :2]
             w_new = w + dm[:, 2]
@@ -687,16 +687,16 @@ def _run_lm(
                 step_inf = max(float(np.max(np.abs(dm))), float(np.max(np.abs(de))))
                 rel_dec = (cost - cost_new) / max(cost, np.finfo(float).tiny)
                 v, w, tht, thb, r4, cost = v_new, w_new, tht_new, thb_new, r4_new, cost_new
-                lam = max(lam / opts.lambda_down, 1e-15)
+                lam = max(lam / LM_LAMBDA_DOWN, 1e-15)
                 accepted = True
-                if rel_dec < opts.relative_cost_tol:
+                if rel_dec < RELATIVE_COST_TOL:
                     converged = True
                     termination = "cost_decrease"
-                elif step_inf < opts.step_tol:
+                elif step_inf < STEP_TOL:
                     converged = True
                     termination = "step"
                 break
-            lam *= opts.lambda_up
+            lam *= LM_LAMBDA_UP
         if not accepted:
             termination = "lambda_overflow"
             break
@@ -762,7 +762,7 @@ def solve_lm(pairs: MeasurementPairs, options: SolverOptions | None = None) -> C
     spurious answer; the diagnostic report rides along on the exception.
     """
     opts = options or SolverOptions()
-    wt = _weights(pairs, opts.cov_floor)
+    wt = _weights(pairs)
     M = len(pairs)
     if M < 2:
         raise InsufficientDataError(f"need at least 2 pairs, got {M}")

@@ -65,6 +65,7 @@ from .scale_recovery import (
 )
 from .simulator import (
     DEFAULT_LANDMARKS,
+    KINDS,
     DEFAULT_THETA_BA,
     DEFAULT_TRANSLATION,
     GroundTruth,
@@ -136,7 +137,9 @@ def _outdir(args) -> Path:
 
 
 def _write_resolved_config(cfg, out: Path, extra_comments=()):
-    text = pipeline_io.serialize_config(cfg)
+    """``cfg`` as a config file, or just the header when the command reads
+    none, followed by the command's own comment lines."""
+    text = pipeline_io.CONFIG_HEADER + "\n" if cfg is None else pipeline_io.serialize_config(cfg)
     for line in extra_comments:
         text += f"# {line}\n"
     (out / "resolved_config.txt").write_text(text)
@@ -222,7 +225,7 @@ def cmd_simulate(args) -> int:
                 jobs.append((cell / f"trial_{k}", key, truth, noise, landmarks))
     out = _outdir(args)
     _write_resolved_config(
-        pipeline_io.PipelineConfig(),
+        None,
         out,
         extra_comments=[
             f"simulate sigma={','.join(map(repr, args.sigma))} "
@@ -373,7 +376,7 @@ def cmd_recover_scale(args) -> int:
     result = recover_scale(report, series, min_rate=args.min_rate)
     out = _outdir(args)  # only once the scale is recovered, so a failure writes nothing
     _write_resolved_config(
-        pipeline_io.PipelineConfig(),
+        None,
         out,
         extra_comments=[
             f"recover-scale report={args.report} source="
@@ -420,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--profile",
         default=TrajectoryProfile.kind,
-        choices=("periodic_default", "constant_omega", "straight_line"),
+        choices=KINDS,
     )
     p.add_argument("--duration", nargs="+", type=float, default=(15.0, 120.0),
                    help="sweep of durations in seconds")

@@ -99,7 +99,7 @@ def excitation_report(
     """Classify every timestep of a dataset and aggregate the verdicts.
 
     Motion states come from the closed-form per-timestep fit at the guessed
-    extrinsics, weighted with the default covariance floor ``COV_FLOOR``;
+    extrinsics, with the solver's weights (covariances floored by ``COV_FLOOR``);
     the angular acceleration is their central finite difference (one-sided
     at the ends).  Needs at least three pairs.
     """

@@ -407,13 +407,13 @@ def serialize_config(cfg: PipelineConfig) -> str:
 
 def parse_config(text: str) -> PipelineConfig:
     """Read a config file.  NaN is rejected for every float key, and each
-    section's values must pass the section's own checks; if they do not, the
-    ParseError names the first line at which the values read so far fail."""
+    value must pass its section's own checks; the ParseError names the first
+    line that fails."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty config")
     _check_header(lines[0], CONFIG_HEADER)
-    read: dict = {}  # section -> [(attr, value, key, lineno)] in file order
+    cfg = PipelineConfig()
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -437,21 +437,13 @@ def parse_config(text: str) -> PipelineConfig:
             raise ParseError(f"bad value {raw!r} for {key}", lineno)
         if typ is float and math.isnan(val):
             raise ParseError(f"{key} must not be NaN", lineno)
-        read.setdefault(section, []).append((attr, val, key, lineno))
-    cfg = PipelineConfig()
-    for section, entries in read.items():
-        obj = cfg if section is None else getattr(cfg, section)
-        changes, first_error = {}, None
-        for attr, val, key, lineno in entries:
-            changes[attr] = val
-            try:
-                new = replace(obj, **changes)
-            except InvalidArgumentError as exc:
-                first_error = first_error or ParseError(f"bad value for {key}: {exc}", lineno)
-                new = None
-        if new is None:
-            raise first_error
-        cfg = new if section is None else replace(cfg, **{section: new})
+        try:
+            if section is None:
+                cfg = replace(cfg, **{attr: val})
+            else:
+                cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{attr: val})})
+        except InvalidArgumentError as exc:
+            raise ParseError(f"bad value for {key}: {exc}", lineno)
     return cfg
 
 

@@ -26,7 +26,10 @@ from .ego_velocity import RadarScan
 from .errors import InvalidArgumentError
 from .geometry import rot2, wrap_axis, wrap_to_pi
 
-KINDS = ("periodic_default", "constant_omega", "straight_line", "custom_harmonics")
+KINDS = ("periodic_default", "constant_omega", "straight_line")
+# Most samples one trajectory may hold.  An hour at 50 Hz is 180,000; far
+# past the limit, sampling runs for minutes or fails to allocate.
+MAX_SAMPLES = 10**6
 
 DEFAULT_THETA_BA = -1.58
 DEFAULT_TRANSLATION = (1.2, 1.6)  # 2 m baseline at a 53 degree axis angle
@@ -40,9 +43,8 @@ class TrajectoryProfile:
     ``periodic_default`` uses the offset/amplitude fields below with period
     ``period``; ``constant_omega`` and ``straight_line`` move at constant
     body velocity ``(speed, 0)`` with turn rate ``omega`` and zero
-    respectively; ``custom_harmonics`` sums ``(amplitude, frequency_hz,
-    phase)`` sine terms per channel on top of the offsets.  Every float
-    field must be finite, and ``duration``, ``rate`` and ``period`` positive.
+    respectively.  Every float field must be finite, ``duration``, ``rate`` and
+    ``period`` positive, and ``duration * rate`` at most ``MAX_SAMPLES``.
     """
 
     kind: str = "periodic_default"
@@ -57,10 +59,6 @@ class TrajectoryProfile:
     omega_phase: float = 0.4
     speed: float = 1.0
     omega: float = 0.5
-    omega_offset: float = 0.0
-    vx_harmonics: tuple = ()
-    vy_harmonics: tuple = ()
-    omega_harmonics: tuple = ()
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -73,6 +71,11 @@ class TrajectoryProfile:
             raise InvalidArgumentError(
                 f"duration, rate and period must be positive, got {self.duration!r}, "
                 f"{self.rate!r} and {self.period!r}"
+            )
+        if self.duration * self.rate > MAX_SAMPLES:
+            raise InvalidArgumentError(
+                f"duration {self.duration!r} s at rate {self.rate!r} Hz exceeds "
+                f"the limit of {MAX_SAMPLES} samples"
             )
 
 
@@ -165,16 +168,6 @@ class SimulatedScans:
     outlier_masks: dict[str, list[np.ndarray]]
 
 
-def _harmonic_sum(t: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
-    val = np.zeros_like(t)
-    deriv = np.zeros_like(t)
-    for amp, freq_hz, phase in terms:
-        wrad = 2.0 * math.pi * freq_hz
-        val += amp * np.sin(wrad * t + phase)
-        deriv += amp * wrad * np.cos(wrad * t + phase)
-    return val, deriv
-
-
 def generate_trajectory(
     profile: TrajectoryProfile,
     theta_ba: float = DEFAULT_THETA_BA,
@@ -204,19 +197,11 @@ def generate_trajectory(
         vy = np.zeros(n)
         omega = np.full(n, profile.omega)
         alpha = np.zeros(n)
-    elif profile.kind == "straight_line":
+    else:  # straight_line
         vx = np.full(n, profile.speed)
         vy = np.zeros(n)
         omega = np.zeros(n)
         alpha = np.zeros(n)
-    else:
-        vx_h, _ = _harmonic_sum(t, profile.vx_harmonics)
-        vy_h, _ = _harmonic_sum(t, profile.vy_harmonics)
-        om_h, al_h = _harmonic_sum(t, profile.omega_harmonics)
-        vx = profile.vx_offset + vx_h
-        vy = profile.vy_offset + vy_h
-        omega = profile.omega_offset + om_h
-        alpha = al_h
 
     return GroundTruth(
         timestamps=t,

@@ -447,32 +447,37 @@ def test_solve_fits_the_motion_once_per_start(monkeypatch, duration):
     assert len(starts) == len(set(starts)) == (1 if len(pairs) > 60 else 2)
 
 
-def test_excitation_check_uses_solver_cov_floor():
+@pytest.mark.parametrize("options", [
+    pytest.param(None, id="defaults"),
+    pytest.param(SolverOptions(max_iterations=3), id="three-iterations"),
+    pytest.param(SolverOptions(grid_init_max_pairs=0, init_k=5), id="no-sweep"),
+])
+def test_excitation_and_residuals_share_the_solver_weights(options):
+    # Non-isotropic covariances, so that a floor or weighting applied by one
+    # entry point and not another would change the numbers.
     rng = np.random.default_rng(5)
     _, pairs = periodic_pairs(sigma=0.1, seed=4)
     covs = np.array([
         [random_spd(rng, scale=rng.uniform(0.02, 0.5)) for _ in "ab"] for _ in range(len(pairs))
     ])
     pairs = dataclasses.replace(pairs, cov_a=covs[:, 0], cov_b=covs[:, 1])
-    verdict = assess_excitation(pairs, SolverOptions(cov_floor=1.0))
-    floored = identifiability._excitation_report(
-        pairs, _weights(pairs, 1.0), verdict.guess, None
-    )[0]
-    assert verdict.report == floored
-    assert excitation_report(pairs, verdict.guess) != floored
+    verdict = assess_excitation(pairs, options)
+    assert verdict.report == excitation_report(pairs, verdict.guess)
+    report = solve_lm(pairs, options)
+    state = CalibState(v_a=report.v_a, omega_gamma=report.omega_gamma,
+                       extrinsics=report.extrinsics)
+    r = residuals(state, pairs)
+    assert np.sum(r * r) == report.final_cost
 
 
-@pytest.mark.parametrize("bad", [
-    {"lambda0": 0.0}, {"lambda0": 1e13}, {"lambda_max": math.inf}, {"lambda_up": 1.0},
-    {"lambda_down": 0.0}, {"lambda_up": math.nan}, {"max_iterations": -1},
-])
+@pytest.mark.parametrize("bad", [pytest.param({"max_iterations": -1}, id="bad6")])
 def test_solver_options_reject_damping_that_cannot_terminate(bad):
     with pytest.raises(InvalidArgumentError):
         SolverOptions(**bad)
 
 
 def test_solver_options_accept_edge_values():
-    opts = SolverOptions(max_iterations=0, lambda0=1e12)
+    opts = SolverOptions(max_iterations=0)
     assert dataclasses.replace(opts, grid_init_max_pairs=0, restart_cost_ratio=math.inf)
 
 

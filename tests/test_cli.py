@@ -13,6 +13,8 @@ import pytest
 
 from radarcal import cli
 from radarcal.pipeline_io import (
+    PipelineConfig,
+    load_config,
     load_pairs,
     load_scans,
     load_truth,
@@ -183,6 +185,9 @@ def test_simulate_writes_experiment_matrix(tmp_path):
     assert code == cli.EXIT_OK
     resolved = (out / "resolved_config.txt").read_text().splitlines()
     assert "# simulate sigma=0.05,0.2 duration=5.0 trials=2" in resolved
+    # simulate reads no pipeline setting, so the file holds only its comment lines
+    assert all(line.startswith("# ") for line in resolved)
+    assert load_config(out / "resolved_config.txt") == PipelineConfig()
     trials = sorted(p.relative_to(out).as_posix() for p in out.glob("sigma_*/dur_*/trial_*"))
     assert trials == [
         "sigma_0.05/dur_5/trial_0",
@@ -229,6 +234,8 @@ def test_simulate_deterministic_and_jobs_invariant(tmp_path):
     pytest.param(flags, named, id=" ".join(flags)) for flags, named in [
         (("--rate", "nan"), "rate"),
         (("--rate", "inf"), "rate"),
+        (("--rate", "1e300"), "samples"),
+        (("--duration", "2", "1e300"), "samples"),
         (("--detection-sigma", "nan"), "detection_sigma"),
         (("--detection-sigma", "inf"), "detection_sigma"),
         (("--speed", "nan", "--profile", "straight_line"), "speed"),
@@ -344,6 +351,24 @@ def test_calibrate_drops_a_scan_whose_refit_overflows(tmp_path, capsys):
         assert run("calibrate", "--input", scans_file, "--out", cal) == cli.EXIT_OK
         assert t not in load_pairs(cal / "used_pairs.txt").timestamps
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "excitation-check"])
+@pytest.mark.parametrize("radar", ["a", "b"])
+def test_a_pair_covariance_whose_determinant_overflows_exits_2(
+    tmp_path, calibrated, command, radar, capsys
+):
+    pairs = load_pairs(calibrated[0])
+    cov = getattr(pairs, f"cov_{radar}").copy()
+    cov[5] = np.diag([1e160, 1e160])
+    bad = tmp_path / "pairs.txt"
+    save_pairs(dataclasses.replace(pairs, **{f"cov_{radar}": cov}), bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(command, "--input", bad, "--out", tmp_path / "out")
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"radar {radar} covariance of the pair at t={pairs.timestamps[5]!r}" in err
 
 
 @pytest.mark.parametrize("profile", ["constant_omega", "straight_line"])
@@ -492,7 +517,9 @@ def test_recover_scale_from_rates_and_poses(tmp_path, capsys):
     sc = read_json(tmp_path / "sc1" / "scale.json")
     assert abs(sc["translation_magnitude"] - 2.0) / 2.0 < 0.1
     assert sc["sign_ambiguous"] is True
-    assert (tmp_path / "sc1" / "resolved_config.txt").exists()
+    resolved = tmp_path / "sc1" / "resolved_config.txt"
+    assert all(line.startswith("# ") for line in resolved.read_text().splitlines())
+    assert load_config(resolved) == PipelineConfig()
 
     _, psi_a, _, _ = truth.world_poses()
     poses = tmp_path / "poses.csv"

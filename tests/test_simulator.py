@@ -6,6 +6,7 @@ import pytest
 from radarcal.errors import InvalidArgumentError
 from radarcal.geometry import rot2
 from radarcal.simulator import (
+    MAX_SAMPLES,
     NoiseSpec,
     TrajectoryProfile,
     generate_trajectory,
@@ -52,16 +53,13 @@ def test_periodic_alpha_matches_numeric_derivative():
     np.testing.assert_allclose(truth.alpha[2:-2], num[2:-2], atol=5e-4)
 
 
-def test_custom_harmonics_profile():
-    p = TrajectoryProfile(
-        kind="custom_harmonics",
-        duration=4.0,
-        vx_offset=1.0,
-        omega_harmonics=((0.3, 0.5, 0.0),),
-    )
-    truth = generate_trajectory(p)
-    expected = 0.3 * np.sin(2 * math.pi * 0.5 * truth.timestamps)
-    np.testing.assert_allclose(truth.omega, expected, atol=1e-12)
+def test_profile_refuses_more_samples_than_the_limit():
+    # Built, not sampled: none of these starts a simulation.
+    assert TrajectoryProfile(duration=3600.0, rate=50.0)  # an hour at 50 Hz
+    assert TrajectoryProfile(duration=MAX_SAMPLES / 10, rate=10.0)
+    for duration, rate in ((2.0, 1e7), (2.0, 1e300), (1e300, 1e300), (MAX_SAMPLES + 1.0, 1.0)):
+        with pytest.raises(InvalidArgumentError, match="samples"):
+            TrajectoryProfile(duration=duration, rate=rate)
 
 
 def test_generate_trajectory_validation():
