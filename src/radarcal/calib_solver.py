@@ -528,6 +528,13 @@ def _gauss_newton_blocks(A, B, r4):
     return Hmm, Hme, Hee, gm, ge
 
 
+def _schur_complement(Hmm, Hme, Hee):
+    """inv(Hmm) per motion block, and the extrinsic block left after
+    eliminating the motion states, ``Hee - sum Hme^T inv(Hmm) Hme``."""
+    Cinv = np.linalg.inv(Hmm)
+    return Cinv, Hee - np.einsum("mia,mij,mjb->ab", Hme, Cinv, Hme)
+
+
 def _schur_step(Hmm, Hme, Hee, gm, ge, lam):
     """Solve the damped normal equations, eliminating motion blocks."""
     dm_diag = np.einsum("mii->mi", Hmm).copy()
@@ -536,8 +543,7 @@ def _schur_step(Hmm, Hme, Hee, gm, ge, lam):
     de_diag = np.diag(Hee).copy()
     de_diag = np.where(de_diag > 0, de_diag, 1.0)
     Hee_d = Hee + lam * np.diag(de_diag)
-    Cinv = np.linalg.inv(Hmm_d)
-    S = Hee_d - np.einsum("mia,mij,mjb->ab", Hme, Cinv, Hme)
+    Cinv, S = _schur_complement(Hmm_d, Hme, Hee_d)
     rhs = ge - np.einsum("mia,mij,mj->a", Hme, Cinv, gm)
     de = -np.linalg.solve(S, rhs)
     dm = -np.einsum("mij,mj->mi", Cinv, gm + Hme @ de)
@@ -546,8 +552,7 @@ def _schur_step(Hmm, Hme, Hee, gm, ge, lam):
 
 def _marginal_extrinsic_covariance(Hmm, Hme, Hee):
     """Covariance of (theta_t, theta_ba) after marginalizing motion states."""
-    Cinv = np.linalg.inv(Hmm)
-    S = Hee - np.einsum("mia,mij,mjb->ab", Hme, Cinv, Hme)
+    _, S = _schur_complement(Hmm, Hme, Hee)
     try:
         return np.linalg.inv(S)
     except np.linalg.LinAlgError:
@@ -579,6 +584,7 @@ def velocity_error_metric(pairs: MeasurementPairs, extrinsics: Extrinsics) -> fl
     return float(np.mean(np.hypot(eb[:, 0], eb[:, 1])))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an error that overflows is refused below
 def fused_ego_velocities(
     report: CalibrationReport,
     pairs: MeasurementPairs,
@@ -593,6 +599,8 @@ def fused_ego_velocities(
     which is the best available reference on real data.
 
     Returns ``{"radar_a": {"raw": (M,), "fused": (M,)}, "radar_b": ...}``.
+    Raises InvalidArgumentError when velocities too large to compare make
+    an error overflow.
     """
     ext = report.extrinsics
     R = rot2(ext.theta_ba)
@@ -623,10 +631,20 @@ def fused_ego_velocities(
     def mag(x):
         return np.hypot(x[:, 0], x[:, 1])
 
-    return {
+    errors = {
         "radar_a": {"raw": mag(pairs.h_a - ref_a), "fused": mag(v - ref_a)},
         "radar_b": {"raw": mag(pairs.h_b - ref_b), "fused": mag(fused_b - ref_b)},
     }
+    reference = "reconstructed" if ground_truth is None else "ground-truth"
+    for radar, both in errors.items():
+        for kind, series in both.items():
+            bad = ~np.isfinite(series)
+            if bad.any():
+                raise InvalidArgumentError(
+                    f"{radar} {kind} velocity error against the {reference} velocity at "
+                    f"t={float(pairs.timestamps[bad][0])!r} overflows: the velocities are too large"
+                )
+    return errors
 
 
 @dataclass

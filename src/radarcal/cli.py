@@ -322,10 +322,6 @@ def cmd_evaluate(args) -> int:
     pairs = _pairs_from_input(args.input, cfg)
     report = pipeline_io.read_report(args.report)
     truth = pipeline_io.load_truth(args.truth) if args.truth else None
-    out = _outdir(args)
-    _write_resolved_config(
-        cfg, out, extra_comments=[f"evaluate report={args.report} truth={args.truth or 'none'}"]
-    )
     payload = {
         "format": pipeline_io.EVALUATION_FORMAT,
         "n_pairs": len(pairs),
@@ -348,6 +344,10 @@ def cmd_evaluate(args) -> int:
             "theta_t": math.degrees(d_t),
             "theta_ba": math.degrees(d_ba),
         }
+    out = _outdir(args)
+    _write_resolved_config(
+        cfg, out, extra_comments=[f"evaluate report={args.report} truth={args.truth or 'none'}"]
+    )
     pipeline_io.write_json(payload, out / "evaluation.json")
     print(f"mean velocity error {payload['mean_velocity_error']:.4g} m/s over {len(pairs)} pairs")
     if payload["extrinsic_error_deg"] is not None:

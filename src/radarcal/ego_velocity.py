@@ -226,41 +226,29 @@ def _choice_pairs(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     ).T
 
 
-def _decode_choice_pairs(u: np.ndarray, n: int) -> np.ndarray | None:
+def _decode_choice_pairs(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (2, ..., k) samples ``_choice_pairs`` draws from the same streams,
     decoded from the generators' raw 32-bit output ``u`` (..., 3k): three
-    values per sample, one stream per row.
+    values per sample, one stream per row; and a bool array (...) marking the
+    rows that were rejected.
 
     numpy's ``Generator.choice(n, 2, replace=False)`` runs Floyd's algorithm
     and then shuffles the two indices: three draws, each bounded by Lemire's
     method, ``(u * bound) >> 32``, with bounds ``n - 1``, ``n`` and 2.  Floyd
     takes ``n - 1`` when its second draw repeats the first, and the shuffle
-    swaps the pair when its draw is 0.  Returns None when any draw lands in
-    Lemire's rejection zone (low 32 bits of ``u * bound`` below
+    swaps the pair when its draw is 0.  A row is rejected when any of its
+    draws lands in Lemire's rejection zone (low 32 bits of ``u * bound`` below
     ``(2**32 - bound) % bound``, odds about n / 2**32): numpy would draw again
-    there, and ``u`` no longer lines up with its samples.
+    there, and the row's ``u`` no longer lines up with its samples.
     """
     bounds = (n - 1, n, 2)
     m = u.reshape(*u.shape[:-1], -1, 3) * np.array(bounds, dtype=np.uint64)
-    if np.any((m & 0xFFFFFFFF) < np.array([(2**32 - b) % b for b in bounds], dtype=np.uint64)):
-        return None
+    low = np.array([(2**32 - b) % b for b in bounds], dtype=np.uint64)
+    rejected = np.any((m & 0xFFFFFFFF) < low, axis=(-2, -1))
     first, second, shuffle = np.moveaxis(m >> 32, -1, 0).astype(np.intp)
     second = np.where(second == first, n - 1, second)
     swap = shuffle == 0
-    return np.stack([np.where(swap, second, first), np.where(swap, first, second)])
-
-
-def _hypothesis_pairs(seed: np.random.SeedSequence, n: int, k: int) -> np.ndarray:
-    """``_choice_pairs`` on a generator seeded by ``seed``, from one raw draw.
-
-    On a Lemire rejection the generator is made afresh and the reference
-    draw runs, so the samples never depend on which path produced them.
-    """
-    u = np.random.default_rng(seed).integers(0, 2**32, size=3 * k, dtype=np.uint32)
-    pairs = _decode_choice_pairs(u, n)
-    if pairs is None:
-        pairs = _choice_pairs(np.random.default_rng(seed), n, k)
-    return pairs
+    return np.stack([np.where(swap, second, first), np.where(swap, first, second)]), rejected
 
 
 # Scans of one detection count scored in one array pass.  A block's transient
@@ -281,9 +269,9 @@ def _score_block(scans: list[RadarScan], n: int, config: RansacConfig):
         np.random.default_rng(seed).integers(0, 2**32, size=3 * k, dtype=np.uint32)
         for seed in seeds
     ])
-    pairs = _decode_choice_pairs(u, n)
-    if pairs is None:  # some scan drew in a rejection zone: decode scan by scan
-        pairs = np.stack([_hypothesis_pairs(seed, n, k) for seed in seeds], axis=1)
+    pairs, rejected = _decode_choice_pairs(u, n)
+    for r in np.flatnonzero(rejected).tolist():  # a fresh generator, on the reference draw
+        pairs[:, r] = _choice_pairs(np.random.default_rng(seeds[r]), n, k)
     i, j = pairs  # (S, K) each
     rows = np.arange(len(scans))[:, None]
     Ai, Aj, yi, yj = A[rows, i], A[rows, j], y[rows, i], y[rows, j]

@@ -16,7 +16,7 @@ hopeless data instead of returning an arbitrary answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,38 +28,35 @@ FLAG_ZERO_ALPHA = "zero_alpha"
 FLAG_ZERO_VELOCITY = "zero_velocity"
 FLAG_AXIS_ALIGNED = "axis_aligned_motion"
 
+# The flags' fixed numerics.  ``SPEED_FLOOR`` (m/s) marks a dead velocity or
+# turn-rate signal; ``ALPHA_REL_TOL`` and ``ALPHA_ABS_FLOOR`` a vanishing
+# angular acceleration; ``ALIGN_TOL`` (sine of the angle) motion along the
+# axis.  A flag is raised when at least ``FLAG_FRACTION`` of the timesteps
+# show the defect.  ``axis_aligned_motion`` is also raised when the motion
+# direction never varies (spread at or below ``ALIGN_TOL``), since motion
+# confined to a single line cannot be told apart from the axis.
+SPEED_FLOOR = 0.05
+ALIGN_TOL = 0.05
+ALPHA_REL_TOL = 1e-3
+ALPHA_ABS_FLOOR = 1e-9
+FLAG_FRACTION = 0.9
+
 
 @dataclass
 class ExcitationThresholds:
-    """Classification thresholds, all relative except the absolute floors.
+    """The degeneracy threshold, relative to the data.
 
     A timestep is degenerate when ``|det(O)|`` falls at or below
-    ``det_rel_tol * median(speed) * max(median(|alpha|), alpha_abs_floor)``;
+    ``det_rel_tol * median(speed) * max(median(|alpha|), ALPHA_ABS_FLOOR)``;
     the floor keeps the comparison meaningful when the angular acceleration
-    is pure roundoff.  The flags use
-    ``speed_floor`` (m/s) for dead velocity or turn-rate signals,
-    ``alpha_rel_tol``/``alpha_abs_floor`` for vanishing angular acceleration
-    and ``align_tol`` (sine of the angle) for motion along the axis; a flag
-    is raised when at least ``flag_fraction`` of the timesteps show the
-    defect.  ``axis_aligned_motion`` is also raised when the motion
-    direction never varies (spread at or below ``align_tol``), since motion
-    confined to a single line cannot be told apart from the axis.
+    is pure roundoff.
     """
 
     det_rel_tol: float = 1e-3
-    speed_floor: float = 0.05
-    align_tol: float = 0.05
-    alpha_rel_tol: float = 1e-3
-    alpha_abs_floor: float = 1e-9
-    flag_fraction: float = 0.9
 
     def __post_init__(self):
-        # Written as ``not (...)`` so that NaN fails every check.
-        for f in fields(self):
-            if not getattr(self, f.name) >= 0.0:
-                raise InvalidArgumentError(f"{f.name} must be >= 0")
-        if not 0.0 < self.flag_fraction <= 1.0:
-            raise InvalidArgumentError("flag_fraction must be in (0, 1]")
+        if not self.det_rel_tol >= 0.0:  # NaN fails too
+            raise InvalidArgumentError("det_rel_tol must be >= 0")
 
 
 @dataclass
@@ -128,31 +125,31 @@ def _excitation_report(pairs: MeasurementPairs, wt, extrinsics_guess: Extrinsics
     # Floor the alpha scale: on rotation-free data the finite differences
     # are pure roundoff, and a threshold built from them would classify
     # noise against noise instead of flagging everything.
-    alpha_scale = max(float(np.median(np.abs(alpha))), thr.alpha_abs_floor)
+    alpha_scale = max(float(np.median(np.abs(alpha))), ALPHA_ABS_FLOOR)
     det_threshold = thr.det_rel_tol * float(np.median(speeds)) * alpha_scale
     degenerate = abs_dets <= det_threshold
     fraction = float(np.mean(degenerate))
 
     flags = []
-    alpha_floor = max(thr.alpha_abs_floor, thr.alpha_rel_tol * float(np.max(np.abs(alpha))))
-    if np.mean(np.abs(alpha) <= alpha_floor) >= thr.flag_fraction:
+    alpha_floor = max(ALPHA_ABS_FLOOR, ALPHA_REL_TOL * float(np.max(np.abs(alpha))))
+    if np.mean(np.abs(alpha) <= alpha_floor) >= FLAG_FRACTION:
         flags.append(FLAG_ZERO_ALPHA)
     # Either signal being dead kills the axis: a stationary platform, or a
     # platform that never turns (the lever arm stays invisible).
-    dead = (speeds <= thr.speed_floor) | (np.abs(w) <= thr.speed_floor)
-    if np.mean(dead) >= thr.flag_fraction:
+    dead = (speeds <= SPEED_FLOOR) | (np.abs(w) <= SPEED_FLOOR)
+    if np.mean(dead) >= FLAG_FRACTION:
         flags.append(FLAG_ZERO_VELOCITY)
-    moving = speeds > thr.speed_floor
+    moving = speeds > SPEED_FLOOR
     aligned = np.zeros(M, dtype=bool)
-    aligned[moving] = np.abs(cross[moving]) <= thr.align_tol * speeds[moving]
-    aligned_flag = bool(np.mean(aligned) >= thr.flag_fraction)
+    aligned[moving] = np.abs(cross[moving]) <= ALIGN_TOL * speeds[moving]
+    aligned_flag = bool(np.mean(aligned) >= FLAG_FRACTION)
     if not aligned_flag and np.count_nonzero(moving) >= 2:
         dirs = np.arctan2(ha[moving, 1], ha[moving, 0])
         folded = wrap_axis(dirs)
         center = circular_median(folded, math.pi)
         dev = np.abs(folded - center)
         dev = np.minimum(dev, math.pi - dev)
-        aligned_flag = bool(np.median(dev) <= thr.align_tol)
+        aligned_flag = bool(np.median(dev) <= ALIGN_TOL)
     elif np.count_nonzero(moving) < 2:
         aligned_flag = True
     if aligned_flag:

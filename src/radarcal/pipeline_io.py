@@ -106,12 +106,10 @@ def _check_header(line: str, expected: str, lineno: int = 1):
 
 
 def save_scans(streams, path):
-    """Write scan streams (dict radar_id -> scans, or a flat list)."""
-    if isinstance(streams, dict):
-        scans = [s for stream in streams.values() for s in stream]
-    else:
-        scans = list(streams)
-    scans.sort(key=lambda s: (s.timestamp, s.radar_id))
+    """Write scan streams (dict radar_id -> scans) in timestamp order."""
+    scans = sorted(
+        (s for stream in streams.values() for s in stream), key=lambda s: (s.timestamp, s.radar_id)
+    )
     with open(path, "w") as fh:
         fh.write(SCANS_HEADER + "\n")
         for s in scans:

@@ -236,13 +236,12 @@ def recover_scale(
     report,
     reference: AngularRateSeries,
     min_rate: float = DEFAULT_MIN_RATE,
-    min_samples: int = MIN_SAMPLES,
 ) -> ScaleResult:
     """Metric baseline length from a calibration report and a rate reference.
 
     The reference is linearly interpolated onto the calibration timestamps;
     samples where it falls below ``min_rate`` (or lies outside the reference
-    time span) are dropped.  Needs at least ``min_samples`` survivors.
+    time span) are dropped.  Needs at least ``MIN_SAMPLES`` survivors.
     """
     if not min_rate > 0:
         raise InvalidArgumentError(f"min_rate must be positive, got {min_rate}")
@@ -254,10 +253,10 @@ def recover_scale(
     ref = np.interp(ts[inside], reference.timestamps, reference.omega)
     wg = wg[inside]
     keep = np.abs(ref) >= min_rate
-    if int(keep.sum()) < min_samples:
+    if int(keep.sum()) < MIN_SAMPLES:
         raise InsufficientExcitationError(
             f"only {int(keep.sum())} reference samples at or above {min_rate} rad/s, "
-            f"need {min_samples}"
+            f"need {MIN_SAMPLES}"
         )
     ratios = np.abs(wg[keep]) / np.abs(ref[keep])
     scale = float(np.median(ratios))

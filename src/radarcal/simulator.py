@@ -35,28 +35,35 @@ DEFAULT_THETA_BA = -1.58
 DEFAULT_TRANSLATION = (1.2, 1.6)  # 2 m baseline at a 53 degree axis angle
 DEFAULT_LANDMARKS = 40
 
+# The periodic_default motion: body velocity and turn rate vary with period
+# PERIOD (s) around the offsets by the amplitudes below (m/s, rad/s).
+PERIOD = 15.0
+VX_OFFSET, VX_AMP = 1.0, 0.5
+VY_OFFSET, VY_AMP = 0.0, 0.4
+OMEGA_AMP, OMEGA_PHASE = 0.6, 0.4
+
+# Each radar sees landmarks within FOV_HALF of its +y boresight and at least
+# MIN_RANGE (m) away; landmarks lie LANDMARK_R_MIN to LANDMARK_R_MAX (m) from
+# their anchor on the path.
+FOV_HALF = math.pi / 3
+MIN_RANGE = 0.5
+LANDMARK_R_MIN, LANDMARK_R_MAX = 3.0, 25.0
+
 
 @dataclass
 class TrajectoryProfile:
     """Parametric rig motion, sampled at ``rate`` Hz for ``duration`` s.
 
-    ``periodic_default`` uses the offset/amplitude fields below with period
-    ``period``; ``constant_omega`` and ``straight_line`` move at constant
-    body velocity ``(speed, 0)`` with turn rate ``omega`` and zero
-    respectively.  Every float field must be finite, ``duration``, ``rate`` and
-    ``period`` positive, and ``duration * rate`` at most ``MAX_SAMPLES``.
+    ``periodic_default`` follows the module's ``PERIOD``, offset and
+    amplitude constants; ``constant_omega`` and ``straight_line`` move at
+    constant body velocity ``(speed, 0)`` with turn rate ``omega`` and zero
+    respectively.  Every float field must be finite, ``duration`` and
+    ``rate`` positive, and ``duration * rate`` at most ``MAX_SAMPLES``.
     """
 
     kind: str = "periodic_default"
     duration: float = 15.0
     rate: float = 10.0
-    period: float = 15.0
-    vx_offset: float = 1.0
-    vx_amp: float = 0.5
-    vy_offset: float = 0.0
-    vy_amp: float = 0.4
-    omega_amp: float = 0.6
-    omega_phase: float = 0.4
     speed: float = 1.0
     omega: float = 0.5
 
@@ -67,10 +74,9 @@ class TrajectoryProfile:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidArgumentError(f"trajectory {f.name} must be finite, got {value!r}")
-        if not (self.duration > 0 and self.rate > 0 and self.period > 0):
+        if not (self.duration > 0 and self.rate > 0):
             raise InvalidArgumentError(
-                f"duration, rate and period must be positive, got {self.duration!r}, "
-                f"{self.rate!r} and {self.period!r}"
+                f"duration and rate must be positive, got {self.duration!r} and {self.rate!r}"
             )
         if self.duration * self.rate > MAX_SAMPLES:
             raise InvalidArgumentError(
@@ -187,11 +193,11 @@ def generate_trajectory(
     t = np.arange(n) / profile.rate
 
     if profile.kind == "periodic_default":
-        base = 2.0 * math.pi / profile.period
-        vx = profile.vx_offset + profile.vx_amp * np.sin(base * t)
-        vy = profile.vy_offset + profile.vy_amp * np.cos(2.0 * base * t)
-        omega = profile.omega_amp * np.sin(base * t + profile.omega_phase)
-        alpha = profile.omega_amp * base * np.cos(base * t + profile.omega_phase)
+        base = 2.0 * math.pi / PERIOD
+        vx = VX_OFFSET + VX_AMP * np.sin(base * t)
+        vy = VY_OFFSET + VY_AMP * np.cos(2.0 * base * t)
+        omega = OMEGA_AMP * np.sin(base * t + OMEGA_PHASE)
+        alpha = OMEGA_AMP * base * np.cos(base * t + OMEGA_PHASE)
     elif profile.kind == "constant_omega":
         vx = np.full(n, profile.speed)
         vy = np.zeros(n)
@@ -230,20 +236,14 @@ def simulate_pairs(truth: GroundTruth, noise: NoiseSpec, rng_seed=0) -> Measurem
     )
 
 
-def sample_landmarks(
-    truth: GroundTruth,
-    n: int = DEFAULT_LANDMARKS,
-    r_min: float = 3.0,
-    r_max: float = 25.0,
-    rng_seed=0,
-) -> np.ndarray:
+def sample_landmarks(truth: GroundTruth, n: int = DEFAULT_LANDMARKS, rng_seed=0) -> np.ndarray:
     """Static landmarks scattered in annuli around random points of the path."""
-    if n < 1 or r_min <= 0 or r_max <= r_min:
-        raise InvalidArgumentError(f"need n >= 1 landmarks and 0 < r_min < r_max, got n={n}")
+    if n < 1:
+        raise InvalidArgumentError(f"need n >= 1 landmarks, got n={n}")
     rng = np.random.default_rng(rng_seed)
     p_a, _, _, _ = truth.world_poses()
     anchors = p_a[rng.integers(0, p_a.shape[0], size=n)]
-    radii = np.sqrt(rng.uniform(r_min ** 2, r_max ** 2, size=n))
+    radii = np.sqrt(rng.uniform(LANDMARK_R_MIN ** 2, LANDMARK_R_MAX ** 2, size=n))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
     return anchors + radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
@@ -253,13 +253,11 @@ def simulate_scans(
     landmarks: np.ndarray,
     noise: NoiseSpec,
     rng_seed=0,
-    fov_half: float = math.pi / 3,
-    min_range: float = 0.5,
 ) -> SimulatedScans:
     """Detection-level scans for both radars against a static landmark field.
 
-    Each radar sees landmarks within ``fov_half`` of its +y boresight and
-    beyond ``min_range``.  Range rates are the exact line-of-sight
+    Each radar sees landmarks within ``FOV_HALF`` of its +y boresight and
+    beyond ``MIN_RANGE``.  Range rates are the exact line-of-sight
     projection of the radar's ego-velocity plus ``detection_sigma`` noise;
     an ``outlier_fraction`` of detections additionally get a 1 to 3 m/s
     range-rate corruption, recorded in the returned masks.
@@ -286,7 +284,7 @@ def simulate_scans(
             los_x = c * rel[:, 0] + s * rel[:, 1]
             los_y = -s * rel[:, 0] + c * rel[:, 1]
             az = np.arctan2(los_x, los_y)
-            vis = (np.abs(az) <= fov_half) & (ranges >= min_range)
+            vis = (np.abs(az) <= FOV_HALF) & (ranges >= MIN_RANGE)
             idx = np.flatnonzero(vis)
             rr = -(los_x[idx] * h[rid][j, 0] + los_y[idx] * h[rid][j, 1]) / ranges[idx]
             rr = rr + noise.detection_sigma * rng.standard_normal(idx.size)

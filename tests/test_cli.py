@@ -125,7 +125,7 @@ def constant_turn_pairs(tmp_path_factory):
 @pytest.mark.parametrize("line", [
     "ransac.max_iterations = 0", "solver.lambda_down = 0", "solver.lambda_up = 1",
     "solver.lambda0 = 0", "solver.lambda_max = inf", "solver.max_degenerate_fraction = nan",
-    "excitation.flag_fraction = nan", "excitation.align_tol = nan",
+    "excitation.flag_fraction = nan", "excitation.align_tol = nan",  # constants, so unknown keys
     "solver.cov_floor = -1", "solver.cov_floor = inf", "solver.gradient_tol = -1",
     "excitation.det_rel_tol = -1", "min_speed = -1", "solver.max_degenerate_fraction = inf",
     "experiment.trials = 100",  # the sweep is simulate's own; the config has no such key
@@ -490,6 +490,30 @@ def test_evaluate_scans_input_with_truth(tmp_path, capsys):
     assert ev["extrinsic_error_deg"]["theta_ba"] < 3.0
     assert ev["n_pairs"] <= 100
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("omega", ["1e308", "-1e308"])
+def test_evaluate_refuses_a_truth_rate_whose_velocity_error_overflows(
+    tmp_path, calibrated, omega, capsys
+):
+    # A finite but huge turn rate makes radar b's true velocity about 2e308 m/s.
+    pairs, report, _ = calibrated
+    lines = (pairs.parent / "truth.txt").read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line[:1].isdigit())
+    toks = lines[k].split()
+    toks[3] = omega
+    lines[k] = " ".join(toks)
+    truth = tmp_path / "truth.txt"
+    truth.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("evaluate", "--input", pairs, "--report", report, "--truth", truth,
+                   "--out", tmp_path / "ev")
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"radar_b raw velocity error against the ground-truth velocity at t={toks[0]}" in err
+    assert "too large" in err
+    assert not (tmp_path / "ev").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from radarcal.ego_velocity import (
     RadarScan,
     RansacConfig,
     _decode_choice_pairs,
-    _hypothesis_pairs,
     _refit,
     _scan_seed,
     build_lsq,
@@ -599,8 +598,8 @@ def test_batched_draw_matches_rng_choice(seed):
     # differently fails here instead of silently changing the samples.
     for n in [*range(3, 201), *EDGE_SIZES]:
         key = np.random.SeedSequence((seed, n))
-        got = _decode_choice_pairs(raw_draws(key, 100), n)
-        assert got is not None, n
+        got, rejected = _decode_choice_pairs(raw_draws(key, 100), n)
+        assert not rejected, n
         np.testing.assert_array_equal(got, choice_pairs(key, n, 100), err_msg=f"n={n}")
 
 
@@ -616,40 +615,84 @@ def test_batched_draw_rejects_exactly_where_rng_choice_draws_again(n):
         rng = np.random.default_rng(key)
         sample = rng.choice(n, size=RANSAC_MIN_SAMPLE, replace=False)
         drew_three = rng.integers(0, 2**32, dtype=np.uint32) == u[3]
-        got = _decode_choice_pairs(u[:3], n)
-        assert (got is not None) == drew_three
-        if got is None:
+        got, row_rejected = _decode_choice_pairs(u[:3], n)
+        assert row_rejected != drew_three
+        if row_rejected:
             rejected += 1
         else:
             np.testing.assert_array_equal(got[:, 0], sample)
     assert 20 <= rejected <= 180
 
 
-def test_a_rejected_draw_falls_back_on_rng_choice(monkeypatch):
+def test_a_rejected_draw_falls_back_on_rng_choice():
     n, k = 6, 100  # bounds 5 and 6 are not powers of two, so a zero draw is rejected
     key = np.random.SeedSequence(3)
     u = raw_draws(key, k)
-    assert _decode_choice_pairs(u, n) is not None
+    assert not _decode_choice_pairs(u, n)[1]
     for pos in (0, 4, 3 * k - 2):  # a first or second Floyd draw
         crafted = u.copy()
         crafted[pos] = 0
-        assert _decode_choice_pairs(crafted, n) is None
+        assert _decode_choice_pairs(crafted, n)[1]
     crafted = u.copy()
     crafted[2] = 0  # the shuffle's bound, 2, has no rejection zone
-    assert _decode_choice_pairs(crafted, n) is not None
+    assert not _decode_choice_pairs(crafted, n)[1]
 
-    decode = ego_velocity._decode_choice_pairs
+    # A rejected row leaves the samples of the other rows as rng.choice draws them.
+    keys = [np.random.SeedSequence((3, r)) for r in range(3)]
+    u = np.stack([raw_draws(key, k) for key in keys])
+    u[1, 4] = 0
+    pairs, rejected = _decode_choice_pairs(u, n)
+    assert rejected.tolist() == [False, True, False]
+    for r in (0, 2):
+        np.testing.assert_array_equal(pairs[:, r], choice_pairs(keys[r], n, k))
 
-    def decode_with_a_rejection(u, n):
+    # A real rejection: at n = 2**31 + 1 about half of the second draws fall in
+    # the zone.  One hypothesis per row, so some rows pass and some do not.
+    n = 2**31 + 1
+    assert _decode_choice_pairs(raw_draws(key, k), n)[1]
+    keys = [np.random.SeedSequence((s, n)) for s in range(12)]
+    pairs, rejected = _decode_choice_pairs(np.stack([raw_draws(key, 1) for key in keys]), n)
+    assert 0 < rejected.sum() < len(keys)
+    for r in np.flatnonzero(~rejected):
+        np.testing.assert_array_equal(pairs[:, r], choice_pairs(keys[r], n, 1))
+    for r in np.flatnonzero(rejected):  # the reference draw a rejected scan takes
+        np.testing.assert_array_equal(
+            ego_velocity._choice_pairs(np.random.default_rng(keys[r]), n, 1),
+            choice_pairs(keys[r], n, 1),
+        )
+
+
+def test_only_the_rejected_scan_of_a_block_is_redrawn(monkeypatch):
+    rng = np.random.default_rng(8)
+    v = np.array([0.9, -0.4])
+    config = RansacConfig(rng_seed=5)
+    scans = []
+    for s in range(5):  # one block of five 9-detection scans, 2 outliers each
+        noise = 0.005 * rng.standard_normal(9)
+        noise[[2, 6]] += 1.5
+        scans.append(synthetic_scan(v, rng.uniform(-1.0, 1.0, 9), noise, t=0.1 * s))
+    alone = [ransac_ego_velocity(scan, config) for scan in scans]
+
+    target_u = raw_draws(_scan_seed(config.rng_seed, scans[2].timestamp), config.max_iterations)
+    decode, choice = ego_velocity._decode_choice_pairs, ego_velocity._choice_pairs
+    decoded, fallbacks = [], []
+
+    def decode_rejecting_the_target(u, n):
+        decoded.append(u.shape[:-1])
         u = u.copy()
-        u[4] = 0
+        u[..., 4] = np.where((u == target_u).all(axis=-1), 0, u[..., 4])
         return decode(u, n)
 
-    monkeypatch.setattr(ego_velocity, "_decode_choice_pairs", decode_with_a_rejection)
-    np.testing.assert_array_equal(_hypothesis_pairs(key, n, k), choice_pairs(key, n, k))
-    monkeypatch.undo()
+    def counted_choice(rng, n, k):
+        fallbacks.append(n)
+        return choice(rng, n, k)
 
-    # A real rejection: at n = 2**31 + 1 about half of the second draws fall in the zone.
-    n = 2**31 + 1
-    assert _decode_choice_pairs(raw_draws(key, k), n) is None
-    np.testing.assert_array_equal(_hypothesis_pairs(key, n, k), choice_pairs(key, n, k))
+    monkeypatch.setattr(ego_velocity, "_decode_choice_pairs", decode_rejecting_the_target)
+    monkeypatch.setattr(ego_velocity, "_choice_pairs", counted_choice)
+    got = ransac_scans(scans, config)
+    assert decoded == [(5,)]  # the block is decoded once and never drawn again
+    assert fallbacks == [9]  # only the target takes the reference draw
+    for est, ref in zip(got, alone):
+        np.testing.assert_array_equal(est.velocity, ref.velocity)
+        np.testing.assert_array_equal(est.covariance, ref.covariance)
+        np.testing.assert_array_equal(est.inlier_mask, ref.inlier_mask)

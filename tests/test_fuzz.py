@@ -22,7 +22,9 @@ EXIT_CODES = {
     cli.EXIT_NOT_CONVERGED,
 }
 CASES_PER_TARGET = 50
-TOKENS = [b"nan", b"-nan", b"inf", b"-inf", b"1e160", b"-1e160", b"0", b"-1", b"x"]
+TOKENS = [
+    b"nan", b"-nan", b"inf", b"-inf", b"1e160", b"-1e160", b"1e308", b"-1e308", b"0", b"-1", b"x",
+]
 
 
 @pytest.fixture(scope="module")
@@ -34,14 +36,19 @@ def inputs(tmp_path_factory):
     trial = base / "sim" / "sigma_0.1" / "dur_5" / "trial_0"
     assert cli.main(["calibrate", "--input", str(trial / "pairs.txt"),
                      "--out", str(base / "cal")]) == cli.EXIT_OK
+    config = base / "config.txt"
+    config.write_bytes(b"# radarcal config 1\nmin_speed = 0.1\nsolver.max_iterations = 50\n"
+                       b"ransac.residual_threshold = 0.03\nexcitation.det_rel_tol = 0.001\n")
+    # Unmutated, every key is known and valid, so the config cases test their mutations.
+    assert cli.main(["calibrate", "--input", str(trial / "pairs.txt"), "--config", str(config),
+                     "--out", str(base / "cal_config")]) == cli.EXIT_OK
     steps = range(60)
     return {
         "pairs": (trial / "pairs.txt").read_bytes(),
         "scans": (trial / "scans.txt").read_bytes(),
         "truth": (trial / "truth.txt").read_bytes(),
         "report": (base / "cal" / "report.json").read_bytes(),
-        "config": b"# radarcal config 1\nmin_speed = 0.1\nsolver.max_iterations = 50\n"
-                  b"ransac.residual_threshold = 0.03\nexcitation.flag_fraction = 0.9\n",
+        "config": config.read_bytes(),
         "poses": b"t,heading\n" + b"".join(b"%r,%r\n" % (k / 10, 0.3 * k / 10) for k in steps),
         "rates": b"t,omega\n" + b"".join(b"%r,0.3\n" % (k / 10) for k in steps),
     }

@@ -108,10 +108,13 @@ def test_simulated_scans_file_survives_load_and_save_byte_for_byte(tmp_path):
     assert again.read_bytes() == first.read_bytes()
 
 
-def test_scans_accept_flat_list_and_sort(tmp_path):
-    flat = [make_scan(1.0, "b", [0.1], [0.2]), make_scan(0.0, "a", [0.3], [0.4])]
+def test_scans_are_saved_in_timestamp_order(tmp_path):
+    streams = {"b": [make_scan(1.0, "b", [0.1], [0.2])], "a": [make_scan(0.0, "a", [0.3], [0.4])]}
     path = tmp_path / "scans.txt"
-    save_scans(flat, path)
+    save_scans(streams, path)
+    assert [line.split()[:2] for line in path.read_text().splitlines()[1:]] == [
+        ["0.0", "a"], ["1.0", "b"],
+    ]
     loaded = load_scans(path)
     assert [s.timestamp for s in loaded["a"]] == [0.0]
     assert [s.timestamp for s in loaded["b"]] == [1.0]
@@ -119,7 +122,7 @@ def test_scans_accept_flat_list_and_sort(tmp_path):
 
 def test_scans_reject_duplicates_and_garbage(tmp_path):
     dup = tmp_path / "dup.txt"
-    save_scans([make_scan(1.0, "a", [0.1], [0.2]), make_scan(1.0, "a", [0.3], [0.4])], dup)
+    save_scans({"a": [make_scan(1.0, "a", [0.1], [0.2]), make_scan(1.0, "a", [0.3], [0.4])]}, dup)
     with pytest.raises(ParseError):
         load_scans(dup)
 
@@ -369,7 +372,7 @@ def test_config_serialization_round_trip(tmp_path):
     cfg.solver.max_iterations = 7
     cfg.solver.restart_cost_ratio = 12.5
     cfg.ransac.rng_seed = 99
-    cfg.excitation.align_tol = 0.07
+    cfg.excitation.det_rel_tol = 0.07
     cfg.min_speed = 0.11
     text = serialize_config(cfg)
     back = parse_config(text)
@@ -377,7 +380,7 @@ def test_config_serialization_round_trip(tmp_path):
     assert back.solver.max_iterations == 7
     assert back.solver.restart_cost_ratio == 12.5
     assert back.ransac.rng_seed == 99
-    assert back.excitation.align_tol == 0.07
+    assert back.excitation.det_rel_tol == 0.07
     assert back.min_speed == 0.11
 
     path = tmp_path / "config.txt"
@@ -402,8 +405,7 @@ def test_config_rejects_unknown_keys_and_bad_values():
 
 
 CONFIG_KEYS = [
-    "excitation.align_tol", "excitation.alpha_abs_floor", "excitation.alpha_rel_tol",
-    "excitation.det_rel_tol", "excitation.flag_fraction", "excitation.speed_floor", "min_speed",
+    "excitation.det_rel_tol", "min_speed",
     "ransac.inlier_fraction_threshold", "ransac.max_iterations", "ransac.residual_threshold",
     "ransac.rng_seed", "solver.enforce_excitation", "solver.grid_init_max_pairs",
     "solver.max_degenerate_fraction", "solver.max_iterations", "solver.min_lever",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from radarcal import simulator
 from radarcal.errors import InvalidArgumentError
 from radarcal.geometry import rot2
 from radarcal.simulator import (
@@ -39,12 +40,11 @@ def test_constant_omega_profile_constants():
 
 
 def test_periodic_profile_stays_in_speed_band():
-    p = TrajectoryProfile(kind="periodic_default", duration=60.0)
-    truth = generate_trajectory(p)
+    truth = generate_trajectory(TrajectoryProfile(kind="periodic_default", duration=60.0))
     speeds = np.hypot(truth.v_a[:, 0], truth.v_a[:, 1])
     assert speeds.min() > 0.05
-    assert speeds.max() <= p.vx_offset + p.vx_amp + p.vy_amp + 1e-9
-    assert np.max(np.abs(truth.omega)) <= p.omega_amp + 1e-12
+    assert speeds.max() <= simulator.VX_OFFSET + simulator.VX_AMP + simulator.VY_AMP + 1e-9
+    assert np.max(np.abs(truth.omega)) <= simulator.OMEGA_AMP + 1e-12
 
 
 def test_periodic_alpha_matches_numeric_derivative():
@@ -69,8 +69,7 @@ def test_generate_trajectory_validation():
         generate_trajectory(TrajectoryProfile(duration=-1.0))
     # The profile refuses a bad value when it is built, before any sampling.
     for field, value in (("duration", math.nan), ("rate", math.inf), ("rate", math.nan),
-                         ("rate", 0.0), ("speed", math.nan), ("omega", -math.inf),
-                         ("period", math.nan), ("period", 0.0)):
+                         ("rate", 0.0), ("speed", math.nan), ("omega", -math.inf)):
         with pytest.raises(InvalidArgumentError, match=field):
             TrajectoryProfile(**{field: value})
     with pytest.raises(InvalidArgumentError, match="theta_ba"):
@@ -238,17 +237,15 @@ def test_simulate_scans_deterministic_and_seed_sensitive():
 
 def test_sample_landmarks_respects_annulus():
     truth = generate_trajectory(TrajectoryProfile(duration=10.0))
-    pts = sample_landmarks(truth, n=200, r_min=3.0, r_max=25.0, rng_seed=0)
+    pts = sample_landmarks(truth, n=200, rng_seed=0)
     assert pts.shape == (200, 2)
     p_a, _, _, _ = truth.world_poses()
     d = np.min(
         np.hypot(pts[:, None, 0] - p_a[None, :, 0], pts[:, None, 1] - p_a[None, :, 1]), axis=1
     )
-    assert np.all(d <= 25.0 + 1e-9)
+    assert np.all(d <= simulator.LANDMARK_R_MAX + 1e-9)
     with pytest.raises(InvalidArgumentError):
         sample_landmarks(truth, n=0)
-    with pytest.raises(InvalidArgumentError):
-        sample_landmarks(truth, r_min=5.0, r_max=4.0)
 
 
 def test_simulate_scans_validates_landmarks():
