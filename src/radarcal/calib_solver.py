@@ -39,6 +39,7 @@ from .geometry import (
     axis_unit,
     circular_median,
     lever_unit,
+    quantile,
     rot2,
     wrap_axis,
     wrap_to_pi,
@@ -52,6 +53,11 @@ if TYPE_CHECKING:
 # Additive diagonal floor applied to measurement covariances before they are
 # inverted into weights; keeps noise-free (zero covariance) data usable.
 COV_FLOOR = 1e-6
+
+# Largest ratio of a floored covariance's eigenvalues.  The coarse grid
+# inverts the sum of both radars' covariances of a pair; near 1/eps the
+# rounding of that sum makes it singular.
+MAX_COV_CONDITION = 1e12
 
 # Levenberg-Marquardt schedule (Marquardt, SIAM J. Appl. Math. 1963): the
 # damping starts at LM_LAMBDA0, grows by LM_LAMBDA_UP after a rejected step
@@ -183,8 +189,9 @@ class _Weights:
 
 def _inv_psd_2x2(covs: np.ndarray, what: str, timestamps: np.ndarray) -> np.ndarray:
     """Invert a stack of 2x2 covariances floored by ``COV_FLOOR``, validating
-    positivity; one whose determinant or inverse is not finite is refused,
-    naming the timestamp of its pair."""
+    positivity; one whose determinant or inverse is not finite, or whose
+    eigenvalues differ by more than ``MAX_COV_CONDITION``, is refused, naming
+    the timestamp of its pair."""
     s = covs + COV_FLOOR * np.eye(2)
     a = s[:, 0, 0]
     b = s[:, 0, 1]
@@ -197,12 +204,20 @@ def _inv_psd_2x2(covs: np.ndarray, what: str, timestamps: np.ndarray) -> np.ndar
         out[:, 1, 1] = a / det
         out[:, 0, 1] = -b / det
         out[:, 1, 0] = -b / det
+        # (a + c)^2 / det is the eigenvalue ratio plus 2 plus its inverse.
+        ill = (a + c) * (a + c) > MAX_COV_CONDITION * det
     if np.any(a <= 0) or np.any(det <= 0) or np.any(asym > 1e-9 * (1 + np.abs(b))):
         raise InvalidWeightError(f"{what} covariance is not symmetric positive definite")
     bad = ~(np.isfinite(det) & np.isfinite(out).all(axis=(1, 2)))
     if np.any(bad):
-        t = timestamps[np.argmax(bad)]
+        t = float(timestamps[np.argmax(bad)])
         raise InvalidWeightError(f"{what} covariance of the pair at t={t!r} is too large to invert")
+    if np.any(ill):
+        t = float(timestamps[np.argmax(ill)])
+        raise InvalidWeightError(
+            f"{what} covariance of the pair at t={t!r} is too ill-conditioned to invert: "
+            f"its eigenvalues differ by a factor above {MAX_COV_CONDITION:g}"
+        )
     return out
 
 
@@ -539,7 +554,8 @@ def _schur_step(Hmm, Hme, Hee, gm, ge, lam):
     """Solve the damped normal equations, eliminating motion blocks."""
     dm_diag = np.einsum("mii->mi", Hmm).copy()
     dm_diag[dm_diag <= 0] = 1.0
-    Hmm_d = Hmm + lam * dm_diag[:, :, None] * np.eye(3)
+    Hmm_d = lam * dm_diag[:, :, None] * np.eye(3)
+    np.add(Hmm, Hmm_d, out=Hmm_d)  # in the damping's temporary: one (M, 3, 3) array fewer
     de_diag = np.diag(Hee).copy()
     de_diag = np.where(de_diag > 0, de_diag, 1.0)
     Hee_d = Hee + lam * np.diag(de_diag)
@@ -682,6 +698,7 @@ def _run_lm(
         iterations += 1
         A, B = _jacobian_blocks(wt, v, w, tht, thb)
         Hmm, Hme, Hee, gm, ge = _gauss_newton_blocks(A, B, r4)
+        del A, B  # the step loop reads only the normal-equation blocks
         ginf = max(float(np.max(np.abs(gm))), float(np.max(np.abs(ge))))
         if ginf < GRADIENT_TOL:
             converged = True
@@ -720,6 +737,7 @@ def _run_lm(
             break
         if converged:
             break
+        del Hmm, Hme, Hee, gm, ge, dm  # not held while the next iteration builds its own
 
     return _LmRun(
         v=v, w=w, theta_t=tht, theta_ba=thb, cost=cost,
@@ -839,7 +857,7 @@ def solve_lm(pairs: MeasurementPairs, options: SolverOptions | None = None) -> C
     qs = (0.25, 0.5, 0.75, 0.9)
     report.velocity_error_table = {
         radar: {
-            kind: {f"q{int(100 * q)}": float(np.quantile(series, q)) for q in qs}
+            kind: {f"q{int(100 * q)}": quantile(series, q) for q in qs}
             for kind, series in both.items()
         }
         for radar, both in errors.items()

@@ -53,7 +53,7 @@ from .errors import (
     open_text,
     utf8_text,
 )
-from .geometry import wrap_axis, wrap_to_pi
+from .geometry import median, wrap_axis, wrap_to_pi
 from .scale_recovery import (
     DEFAULT_HEADING_SIGMA,
     DEFAULT_JERK_PSD,
@@ -332,7 +332,7 @@ def cmd_evaluate(args) -> int:
     if len(pairs) == len(report.timestamps):
         errors = fused_ego_velocities(report, pairs, ground_truth=truth)
         payload["median_errors"] = {
-            radar: {kind: float(np.median(series)) for kind, series in both.items()}
+            radar: {kind: median(series) for kind, series in both.items()}
             for radar, both in errors.items()
         }
     if truth is not None:

@@ -335,7 +335,7 @@ def ransac_scans(
                     f"scan at t={scans[s].timestamp}: best consensus {c}/{n} "
                     f"below threshold {config.inlier_fraction_threshold:.2f}"
                 )
-            for c in np.unique(counts[~short]).tolist():
+            for c in sorted(set(counts[~short].tolist())):
                 sel = counts == c
                 m = masks[sel]
                 winners.setdefault(c, []).append(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .calib_solver import Extrinsics, MeasurementPairs, _motion_from_data, _weights
 from .errors import InsufficientDataError, InvalidArgumentError
-from .geometry import circular_median, wrap_axis
+from .geometry import circular_median, median, wrap_axis
 
 FLAG_ZERO_ALPHA = "zero_alpha"
 FLAG_ZERO_VELOCITY = "zero_velocity"
@@ -40,6 +40,12 @@ ALIGN_TOL = 0.05
 ALPHA_REL_TOL = 1e-3
 ALPHA_ABS_FLOOR = 1e-9
 FLAG_FRACTION = 0.9
+
+# Shortest and longest pair time steps (s).  The finite-difference angular
+# acceleration divides by products of two adjacent steps, which underflow to
+# zero below about 1e-154 s and overflow above about 9e153 s.
+MIN_TIME_STEP = 1e-150
+MAX_TIME_STEP = 1e150
 
 
 @dataclass
@@ -98,9 +104,28 @@ def excitation_report(
     Motion states come from the closed-form per-timestep fit at the guessed
     extrinsics, with the solver's weights (covariances floored by ``COV_FLOOR``);
     the angular acceleration is their central finite difference (one-sided
-    at the ends).  Needs at least three pairs.
+    at the ends).  Needs at least three pairs, with strictly increasing
+    timestamps whose steps lie within ``[MIN_TIME_STEP, MAX_TIME_STEP]``.
     """
     return _excitation_report(pairs, _weights(pairs), extrinsics_guess, thresholds)[0]
+
+
+def _check_time_steps(t: np.ndarray) -> None:
+    """Refuse pair timestamps that do not increase, or a step outside
+    ``[MIN_TIME_STEP, MAX_TIME_STEP]``, naming its timestamps."""
+    dt = np.diff(t)
+    k = int(np.argmin(dt))
+    if dt[k] <= 0:
+        raise InvalidArgumentError("pair timestamps must be strictly increasing")
+    if dt[k] >= MIN_TIME_STEP:
+        k = int(np.argmax(dt))
+        if dt[k] <= MAX_TIME_STEP:
+            return
+    raise InvalidArgumentError(
+        f"pair time step from t={float(t[k])!r} to t={float(t[k + 1])!r} lies outside "
+        f"[{MIN_TIME_STEP:g}, {MAX_TIME_STEP:g}] s: the angular acceleration's finite "
+        f"difference would underflow or overflow"
+    )
 
 
 def _excitation_report(pairs: MeasurementPairs, wt, extrinsics_guess: Extrinsics, thresholds):
@@ -110,8 +135,7 @@ def _excitation_report(pairs: MeasurementPairs, wt, extrinsics_guess: Extrinsics
     M = len(pairs)
     if M < 3:
         raise InsufficientDataError(f"excitation analysis needs >= 3 pairs, got {M}")
-    if np.any(np.diff(pairs.timestamps) <= 0):
-        raise InvalidArgumentError("pair timestamps must be strictly increasing")
+    _check_time_steps(pairs.timestamps)
 
     theta_t = extrinsics_guess.theta_t
     v, w = _motion_from_data(pairs, wt, theta_t, extrinsics_guess.theta_ba)
@@ -125,8 +149,8 @@ def _excitation_report(pairs: MeasurementPairs, wt, extrinsics_guess: Extrinsics
     # Floor the alpha scale: on rotation-free data the finite differences
     # are pure roundoff, and a threshold built from them would classify
     # noise against noise instead of flagging everything.
-    alpha_scale = max(float(np.median(np.abs(alpha))), ALPHA_ABS_FLOOR)
-    det_threshold = thr.det_rel_tol * float(np.median(speeds)) * alpha_scale
+    alpha_scale = max(median(np.abs(alpha)), ALPHA_ABS_FLOOR)
+    det_threshold = thr.det_rel_tol * median(speeds) * alpha_scale
     degenerate = abs_dets <= det_threshold
     fraction = float(np.mean(degenerate))
 
@@ -149,7 +173,7 @@ def _excitation_report(pairs: MeasurementPairs, wt, extrinsics_guess: Extrinsics
         center = circular_median(folded, math.pi)
         dev = np.abs(folded - center)
         dev = np.minimum(dev, math.pi - dev)
-        aligned_flag = bool(np.median(dev) <= ALIGN_TOL)
+        aligned_flag = median(dev) <= ALIGN_TOL
     elif np.count_nonzero(moving) < 2:
         aligned_flag = True
     if aligned_flag:

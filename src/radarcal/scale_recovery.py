@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     InsufficientExcitationError, InvalidArgumentError, ParseError, open_text, utf8_text,
 )
+from .geometry import median
 
 DEFAULT_MIN_RATE = 0.1   # rad/s, reference rates below this are unreliable divisors
 DEFAULT_HEADING_SIGMA = 0.01  # rad, heading noise assumed by the pose smoother
@@ -241,7 +242,8 @@ def recover_scale(
 
     The reference is linearly interpolated onto the calibration timestamps;
     samples where it falls below ``min_rate`` (or lies outside the reference
-    time span) are dropped.  Needs at least ``MIN_SAMPLES`` survivors.
+    time span) are dropped.  Needs at least ``MIN_SAMPLES`` survivors.  A rate
+    ratio that overflows (a huge ``omega_gamma``) raises InvalidArgumentError.
     """
     if not min_rate > 0:
         raise InvalidArgumentError(f"min_rate must be positive, got {min_rate}")
@@ -258,8 +260,16 @@ def recover_scale(
             f"only {int(keep.sum())} reference samples at or above {min_rate} rad/s, "
             f"need {MIN_SAMPLES}"
         )
-    ratios = np.abs(wg[keep]) / np.abs(ref[keep])
-    scale = float(np.median(ratios))
+    with np.errstate(over="ignore"):  # a ratio that overflows is refused below
+        ratios = np.abs(wg[keep]) / np.abs(ref[keep])
+    bad = ~np.isfinite(ratios)
+    if bad.any():
+        t = float(ts[inside][keep][bad][0])
+        raise InvalidArgumentError(
+            f"rate ratio at t={t!r} overflows: the report's omega_gamma is too large "
+            f"for the reference rate"
+        )
+    scale = median(ratios)
     return ScaleResult(
         gamma=scale,
         translation_magnitude=scale,

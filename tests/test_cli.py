@@ -368,7 +368,50 @@ def test_a_pair_covariance_whose_determinant_overflows_exits_2(
         code = run(command, "--input", bad, "--out", tmp_path / "out")
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"radar {radar} covariance of the pair at t={pairs.timestamps[5]!r}" in err
+    assert f"radar {radar} covariance of the pair at t={float(pairs.timestamps[5])!r}" in err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "excitation-check"])
+@pytest.mark.parametrize("radar", ["a", "b"])
+def test_a_pair_covariance_too_ill_conditioned_to_invert_exits_2(
+    tmp_path, calibrated, command, radar, capsys
+):
+    # One entry at 1e160: still positive definite with a finite determinant,
+    # but the coarse grid's sum of both radars' covariances rounds to singular.
+    pairs = load_pairs(calibrated[0])
+    cov = getattr(pairs, f"cov_{radar}").copy()
+    cov[5, 1, 1] = 1e160
+    bad = tmp_path / "pairs.txt"
+    save_pairs(dataclasses.replace(pairs, **{f"cov_{radar}": cov})[:50], bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(command, "--input", bad, "--out", tmp_path / "out")
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"radar {radar} covariance of the pair at t={float(pairs.timestamps[5])!r}" in err
+    assert "too ill-conditioned" in err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "excitation-check"])
+@pytest.mark.parametrize("stamps", ["last at 1e160", "last at -1e160", "second 1e-200 after the first"])
+def test_a_pair_time_step_outside_the_float_range_of_its_difference_exits_2(
+    tmp_path, calibrated, command, stamps, capsys
+):
+    pairs = load_pairs(calibrated[0])
+    t = pairs.timestamps.copy()
+    if stamps.startswith("second"):
+        t[1] = named = t[0] + 1e-200
+    else:
+        t[-1] = named = float(stamps.split()[-1])  # -1e160 sorts first
+    bad = tmp_path / "pairs.txt"
+    save_pairs(dataclasses.replace(pairs, timestamps=t), bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(command, "--input", bad, "--out", tmp_path / "out")
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"t={float(named)!r}" in err
+    assert "lies outside [1e-150, 1e+150] s" in err
 
 
 @pytest.mark.parametrize("profile", ["constant_omega", "straight_line"])
@@ -518,6 +561,24 @@ def test_evaluate_refuses_a_truth_rate_whose_velocity_error_overflows(
 
 # ---------------------------------------------------------------------------
 # recover-scale
+
+
+@pytest.mark.parametrize("omega", [1e308, -1e308])
+def test_recover_scale_refuses_a_rate_ratio_that_overflows(tmp_path, calibrated, omega, capsys):
+    _, report, poses = calibrated
+    payload = json.loads(report.read_text())
+    k = 40
+    payload["fused_motion"][k][2] = omega
+    huge = tmp_path / "report.json"
+    huge.write_text(json.dumps(payload))
+    out = tmp_path / "sc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("recover-scale", "--report", huge, "--poses", poses, "--out", out)
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"rate ratio at t={payload['timestamps'][k]!r} overflows" in err
+    assert not out.exists()
 
 
 def test_recover_scale_from_rates_and_poses(tmp_path, capsys):
@@ -740,7 +801,7 @@ import json, sys
 from radarcal import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 heavy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or
-               m.startswith("concurrent.futures"))
+               m.startswith("concurrent.futures") or m.split(".")[:2] == ["numpy", "ma"])
 print(json.dumps({"codes": codes, "heavy": heavy, "numpy": "numpy" in sys.modules}))
 """
 

@@ -21,7 +21,7 @@ EXIT_CODES = {
     cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_IO, cli.EXIT_NO_DATA, cli.EXIT_UNIDENTIFIABLE,
     cli.EXIT_NOT_CONVERGED,
 }
-CASES_PER_TARGET = 50
+CASES_PER_TARGET = 100
 TOKENS = [
     b"nan", b"-nan", b"inf", b"-inf", b"1e160", b"-1e160", b"1e308", b"-1e308", b"0", b"-1", b"x",
 ]

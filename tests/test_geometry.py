@@ -10,6 +10,8 @@ from radarcal.geometry import (
     axis_unit,
     circular_median,
     lever_unit,
+    median,
+    quantile,
     rot2,
     wedge,
     wrap_axis,
@@ -249,3 +251,47 @@ def test_non_finite_rejected():
             fn(math.nan)
     with pytest.raises(InvalidArgumentError):
         circular_median(np.array([0.1, math.inf]))
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+QUANTILES = (0.25, 0.5, 0.75, 0.9)
+
+
+def _assert_order_statistics_match_numpy(x):
+    before = x.copy()
+    with np.errstate(invalid="ignore"):  # numpy's lerp subtracts infinities
+        assert _bits(median(x)) == _bits(np.median(x))
+        for q in QUANTILES:
+            assert _bits(quantile(x, q)) == _bits(np.quantile(x, q)), q
+    assert np.array_equal(x.view(np.uint64), before.view(np.uint64))  # input untouched
+
+
+@pytest.mark.parametrize("values", [
+    [2.5],
+    [-0.0],
+    [3.0, -1.0, 2.0],
+    [4.0, 1.0, 3.0, 2.0],
+    [1.0, 1.0, 2.0, 1.0, 1.0],
+    [5.0, 5.0, 5.0, 5.0],
+    [0.0, -0.0],
+    [-0.0, -0.0, -0.0],
+    [-0.0, 0.0, -0.0, 0.0],
+    [-math.inf, 1.0, math.inf],
+    [math.inf, 2.0],
+    [-math.inf, -math.inf, 0.0, 1.0],
+    [math.inf, math.inf, math.inf],
+    [1e308, 1.7e308, -1e308, 5e-324],
+    [math.nan],
+    [1.0, math.nan, 2.0],
+    [math.nan, 0.0, -math.nan, 3.0],
+])
+def test_median_and_quantile_match_numpy_bit_for_bit(values):
+    _assert_order_statistics_match_numpy(np.array(values))
+
+
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_median_and_quantile_match_numpy_on_any_floats(values):
+    _assert_order_statistics_match_numpy(np.array(values, dtype=float))
