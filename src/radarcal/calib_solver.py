@@ -534,13 +534,13 @@ def unconstrained_cost(
 # Levenberg-Marquardt with Schur elimination of the motion states
 
 
-def _gauss_newton_blocks(A, B, r4):
-    Hmm = np.einsum("mri,mrj->mij", A, A)
-    Hme = np.einsum("mri,mrj->mij", A, B)
-    Hee = np.einsum("mri,mrj->ij", B, B)
-    gm = np.einsum("mri,mr->mi", A, r4)
-    ge = np.einsum("mri,mr->i", B, r4)
-    return Hmm, Hme, Hee, gm, ge
+def _hessian_blocks(A, B):
+    """Gauss-Newton blocks ``(Hmm, Hme, Hee)`` of the Jacobian blocks."""
+    return (
+        np.einsum("mri,mrj->mij", A, A),
+        np.einsum("mri,mrj->mij", A, B),
+        np.einsum("mri,mrj->ij", B, B),
+    )
 
 
 def _schur_complement(Hmm, Hme, Hee):
@@ -622,8 +622,8 @@ def fused_ego_velocities(
     R = rot2(ext.theta_ba)
     u = lever_unit(ext.theta_t)
     v, w = report.v_a, report.omega_gamma
-    if v.shape[0] != len(pairs):
-        raise InvalidArgumentError("report and pairs disagree on the number of timesteps")
+    if v.shape[0] != len(pairs) or not np.array_equal(report.timestamps, pairs.timestamps):
+        raise InvalidArgumentError("report and pairs disagree on the timesteps")
     fused_b = (v + w[:, None] * u) @ R.T
 
     if ground_truth is not None:
@@ -697,7 +697,9 @@ def _run_lm(
     for _ in range(opts.max_iterations):
         iterations += 1
         A, B = _jacobian_blocks(wt, v, w, tht, thb)
-        Hmm, Hme, Hee, gm, ge = _gauss_newton_blocks(A, B, r4)
+        Hmm, Hme, Hee = _hessian_blocks(A, B)
+        gm = np.einsum("mri,mr->mi", A, r4)
+        ge = np.einsum("mri,mr->i", B, r4)
         del A, B  # the step loop reads only the normal-equation blocks
         ginf = max(float(np.max(np.abs(gm))), float(np.max(np.abs(ge))))
         if ginf < GRADIENT_TOL:
@@ -836,7 +838,8 @@ def solve_lm(pairs: MeasurementPairs, options: SolverOptions | None = None) -> C
     r4 = _residual_matrix(pairs, wt, v, w, tht, thb)
     cost = float(np.sum(r4 * r4))
     A, B = _jacobian_blocks(wt, v, w, tht, thb)
-    Hmm, Hme, Hee, _, _ = _gauss_newton_blocks(A, B, r4)
+    Hmm, Hme, Hee = _hessian_blocks(A, B)
+    del A, B  # not held while the Schur complement is inverted
     cov = _marginal_extrinsic_covariance(Hmm, Hme, Hee)
 
     report = CalibrationReport(

@@ -124,8 +124,7 @@ def _load_config(args) -> pipeline_io.PipelineConfig:
                 cfg = dataclasses.replace(cfg, **{section: new})
         except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"bad value for {flag}: {exc}") from None
-    solver = dataclasses.replace(cfg.solver, excitation_thresholds=cfg.excitation)
-    return dataclasses.replace(cfg, solver=solver)
+    return cfg
 
 
 def _outdir(args) -> Path:
@@ -329,7 +328,7 @@ def cmd_evaluate(args) -> int:
         "median_errors": None,
         "extrinsic_error_deg": None,
     }
-    if len(pairs) == len(report.timestamps):
+    if np.array_equal(pairs.timestamps, report.timestamps):
         errors = fused_ego_velocities(report, pairs, ground_truth=truth)
         payload["median_errors"] = {
             radar: {kind: median(series) for kind, series in both.items()}

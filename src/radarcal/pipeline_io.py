@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -66,7 +66,8 @@ DEFAULT_MAX_GAP = 0.2
 
 @dataclass
 class PipelineConfig:
-    """Everything a calibration run needs beyond its input files."""
+    """Everything a calibration run needs beyond its input files.  The
+    solver options carry the ``excitation`` section as their thresholds."""
 
     ransac: RansacConfig = field(default_factory=RansacConfig)
     solver: SolverOptions = field(default_factory=SolverOptions)
@@ -80,6 +81,7 @@ class PipelineConfig:
             raise InvalidArgumentError("min_speed must be >= 0")
         if not self.sync_max_gap > 0.0:
             raise InvalidArgumentError("sync_max_gap must be > 0")
+        self.solver = replace(self.solver, excitation_thresholds=self.excitation)
 
 
 def _fmt(x: float) -> str:
@@ -96,9 +98,48 @@ def _parse_float(tok: str, lineno: int, what: str) -> float:
     return val
 
 
-def _check_header(line: str, expected: str, lineno: int = 1):
-    if utf8_text(line, lineno).strip() != expected:
-        raise ParseError(f"expected header {expected!r}, found {line.strip()!r}", lineno)
+def _data_lines(lines, header: str):
+    """``(lineno, stripped line)`` for each data line of a text format: the
+    first line must be ``header``, every line must be UTF-8, and blank lines
+    and ``#`` comments are skipped."""
+    lines = iter(lines)
+    first = next(lines, "")
+    if utf8_text(first).strip() != header:
+        raise ParseError(f"expected header {header!r}, found {first.strip()!r}", 1)
+    for lineno, line in enumerate(lines, start=2):
+        line = utf8_text(line, lineno).strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _records(path, header: str):
+    """``(lineno, tokens)`` for each data line of a whitespace-separated file."""
+    with open_text(path) as fh:
+        for lineno, line in _data_lines(fh, header):
+            yield lineno, line.split()
+
+
+def _by_timestamp(records, n: int, what: str) -> np.ndarray:
+    """``(lineno, tokens)`` records of ``n`` floats each, as an (R, n) array
+    sorted by timestamp, the first column.  Records may come in any order;
+    a timestamp that repeats is refused on the line that repeats it."""
+    rows = {}
+    for lineno, toks in records:
+        if len(toks) != n:
+            raise ParseError(f"{what} record needs {n} fields, got {len(toks)}", lineno)
+        vals = [_parse_float(t, lineno, f"{what} field") for t in toks]
+        if vals[0] in rows:
+            raise ParseError(f"duplicate {what} timestamp {vals[0]!r}", lineno)
+        rows[vals[0]] = vals
+    arr = np.array(list(rows.values()), dtype=float).reshape(-1, n)
+    return arr[np.argsort(arr[:, 0], kind="stable")]
+
+
+def _write_rows(path, header_lines: list[str], rows: np.ndarray):
+    """The header lines, then each row of ``rows`` as one line of floats."""
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in header_lines)
+        fh.writelines(" ".join(map(_fmt, row)) + "\n" for row in rows.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -133,35 +174,27 @@ def load_scans(path) -> dict[str, list[RadarScan]]:
     """Read a scan file into per-radar streams sorted by timestamp."""
     streams: dict[str, list[RadarScan]] = {}
     seen = set()
-    with open_text(path) as fh:
-        _check_header(fh.readline(), SCANS_HEADER)
-        for lineno, line in enumerate(fh, start=2):
-            line = utf8_text(line, lineno).strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            if len(toks) < 3:
-                raise ParseError("scan record needs timestamp, radar_id, count", lineno)
-            ts = _parse_float(toks[0], lineno, "timestamp")
-            rid = toks[1]
-            try:
-                n = int(toks[2])
-            except ValueError:
-                raise ParseError(f"bad detection count {toks[2]!r}", lineno)
-            if n < 0 or len(toks) != 3 + 3 * n:
-                raise ParseError(
-                    f"scan claims {n} detections but has {len(toks) - 3} fields", lineno
-                )
-            if (rid, ts) in seen:
-                raise ParseError(f"duplicate scan for radar {rid!r} at t={ts!r}", lineno)
-            seen.add((rid, ts))
-            try:
-                dets = np.array(list(map(float, toks[3:]))).reshape(n, 3)
-                scan = RadarScan(timestamp=ts, radar_id=rid, detections=dets)
-            except (ValueError, InvalidArgumentError) as exc:
-                _detections_one_by_one(toks, n, lineno)
-                raise ParseError(str(exc), lineno)
-            streams.setdefault(rid, []).append(scan)
+    for lineno, toks in _records(path, SCANS_HEADER):
+        if len(toks) < 3:
+            raise ParseError("scan record needs timestamp, radar_id, count", lineno)
+        ts = _parse_float(toks[0], lineno, "timestamp")
+        rid = toks[1]
+        try:
+            n = int(toks[2])
+        except ValueError:
+            raise ParseError(f"bad detection count {toks[2]!r}", lineno)
+        if n < 0 or len(toks) != 3 + 3 * n:
+            raise ParseError(f"scan claims {n} detections but has {len(toks) - 3} fields", lineno)
+        if (rid, ts) in seen:
+            raise ParseError(f"duplicate scan for radar {rid!r} at t={ts!r}", lineno)
+        seen.add((rid, ts))
+        try:
+            dets = np.array(list(map(float, toks[3:]))).reshape(n, 3)
+            scan = RadarScan(timestamp=ts, radar_id=rid, detections=dets)
+        except (ValueError, InvalidArgumentError) as exc:
+            _detections_one_by_one(toks, n, lineno)
+            raise ParseError(str(exc), lineno)
+        streams.setdefault(rid, []).append(scan)
     for stream in streams.values():
         stream.sort(key=lambda s: s.timestamp)
     return streams
@@ -178,36 +211,16 @@ _COV_B_COLS = [8, 9, 9, 10]
 
 def save_pairs(pairs: MeasurementPairs, path):
     ca, cb = pairs.cov_a, pairs.cov_b
-    rows = np.column_stack([
+    _write_rows(path, [PAIRS_HEADER], np.column_stack([
         pairs.timestamps, pairs.h_a, ca[:, 0, 0], ca[:, 0, 1], ca[:, 1, 1],
         pairs.h_b, cb[:, 0, 0], cb[:, 0, 1], cb[:, 1, 1],
-    ])
-    with open(path, "w") as fh:
-        fh.write(PAIRS_HEADER + "\n")
-        fh.writelines(" ".join(map(_fmt, row)) + "\n" for row in rows.tolist())
+    ]))
 
 
 def load_pairs(path) -> MeasurementPairs:
     """Read a pairs file; records may come in any order and are returned
     sorted by timestamp."""
-    rows = []
-    seen = set()
-    with open_text(path) as fh:
-        _check_header(fh.readline(), PAIRS_HEADER)
-        for lineno, line in enumerate(fh, start=2):
-            line = utf8_text(line, lineno).strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            if len(toks) != 11:
-                raise ParseError(f"pair record needs 11 fields, got {len(toks)}", lineno)
-            vals = [_parse_float(t, lineno, "pair field") for t in toks]
-            if vals[0] in seen:
-                raise ParseError(f"duplicate pair timestamp {vals[0]!r}", lineno)
-            seen.add(vals[0])
-            rows.append(vals)
-    arr = np.array(rows, dtype=float).reshape(-1, 11)
-    arr = arr[np.argsort(arr[:, 0], kind="stable")]
+    arr = _by_timestamp(_records(path, PAIRS_HEADER), 11, "pair")
     return MeasurementPairs(
         timestamps=arr[:, 0],
         h_a=arr[:, 1:3],
@@ -222,67 +235,39 @@ def load_pairs(path) -> MeasurementPairs:
 
 
 def save_truth(truth, path):
-    with open(path, "w") as fh:
-        fh.write(TRUTH_HEADER + "\n")
-        fh.write(
-            "extrinsics "
-            + " ".join(
-                [_fmt(truth.theta_ba), _fmt(truth.translation[0]), _fmt(truth.translation[1])]
-            )
-            + "\n"
-        )
-        for j, ts in enumerate(truth.timestamps):
-            fh.write(
-                " ".join(
-                    [
-                        _fmt(ts),
-                        _fmt(truth.v_a[j, 0]),
-                        _fmt(truth.v_a[j, 1]),
-                        _fmt(truth.omega[j]),
-                        _fmt(truth.alpha[j]),
-                    ]
-                )
-                + "\n"
-            )
+    ext = " ".join(map(_fmt, [truth.theta_ba, truth.translation[0], truth.translation[1]]))
+    _write_rows(path, [TRUTH_HEADER, "extrinsics " + ext], np.column_stack([
+        truth.timestamps, truth.v_a, truth.omega, truth.alpha,
+    ]))
 
 
 def load_truth(path):
+    """Read a truth file; like pairs, records may come in any order and are
+    returned sorted by timestamp."""
     from .simulator import GroundTruth  # deferred: simulator builds on solver types
 
-    theta_ba = None
-    translation = None
-    rows = []
-    with open_text(path) as fh:
-        _check_header(fh.readline(), TRUTH_HEADER)
-        for lineno, line in enumerate(fh, start=2):
-            line = utf8_text(line, lineno).strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            if toks[0] == "extrinsics":
-                if len(toks) != 4:
-                    raise ParseError("extrinsics line needs 3 numbers", lineno)
-                theta_ba = _parse_float(toks[1], lineno, "theta_ba")
-                translation = np.array(
-                    [
-                        _parse_float(toks[2], lineno, "tx"),
-                        _parse_float(toks[3], lineno, "ty"),
-                    ]
-                )
-                continue
-            if len(toks) != 5:
-                raise ParseError(f"truth record needs 5 fields, got {len(toks)}", lineno)
-            rows.append([_parse_float(t, lineno, "truth field") for t in toks])
-    if theta_ba is None or not rows:
+    extrinsics = []
+
+    def records():
+        for lineno, toks in _records(path, TRUTH_HEADER):
+            if toks[0] != "extrinsics":
+                yield lineno, toks
+            elif len(toks) != 4:
+                raise ParseError("extrinsics line needs 3 numbers", lineno)
+            else:
+                names = ("theta_ba", "tx", "ty")
+                extrinsics[:] = [_parse_float(t, lineno, name) for t, name in zip(toks[1:], names)]
+
+    arr = _by_timestamp(records(), 5, "truth")
+    if not extrinsics or not len(arr):
         raise ParseError("truth file missing extrinsics line or data rows")
-    arr = np.array(rows)
     return GroundTruth(
         timestamps=arr[:, 0],
         v_a=arr[:, 1:3],
         omega=arr[:, 3],
         alpha=arr[:, 4],
-        theta_ba=theta_ba,
-        translation=translation,
+        theta_ba=extrinsics[0],
+        translation=np.array(extrinsics[1:]),
     )
 
 
@@ -410,12 +395,8 @@ def parse_config(text: str) -> PipelineConfig:
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty config")
-    _check_header(lines[0], CONFIG_HEADER)
     cfg = PipelineConfig()
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(lines, CONFIG_HEADER):
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", lineno)
         key, _, raw = line.partition("=")
@@ -460,15 +441,7 @@ def load_config(path) -> PipelineConfig:
 
 
 def excitation_to_dict(rep: ExcitationReport) -> dict:
-    return {
-        "format": EXCITATION_FORMAT,
-        "fraction_degenerate": rep.fraction_degenerate,
-        "min_abs_det": rep.min_abs_det,
-        "mean_abs_det": rep.mean_abs_det,
-        "det_threshold": rep.det_threshold,
-        "n_samples": rep.n_samples,
-        "flags": list(rep.flags),
-    }
+    return {"format": EXCITATION_FORMAT, **asdict(rep)}
 
 
 def _field(d, key: str, what: str):
@@ -500,14 +473,8 @@ def excitation_from_dict(d: dict) -> ExcitationReport:
     flags = _field(d, "flags", what)
     if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
         raise ParseError(f"{what} field 'flags' is not a list of names")
-    return ExcitationReport(
-        fraction_degenerate=_field(d, "fraction_degenerate", what),
-        min_abs_det=_field(d, "min_abs_det", what),
-        mean_abs_det=_field(d, "mean_abs_det", what),
-        det_threshold=_field(d, "det_threshold", what),
-        n_samples=_field(d, "n_samples", what),
-        flags=list(flags),
-    )
+    values = {f.name: _field(d, f.name, what) for f in fields(ExcitationReport)}
+    return ExcitationReport(**{**values, "flags": list(flags)})
 
 
 def report_to_dict(report: CalibrationReport) -> dict:

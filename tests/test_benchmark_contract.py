@@ -5,7 +5,11 @@ through the layers' public functions and names (the ``SolverOptions``
 fields, ``PipelineConfig.excitation``, ``excitation_report``'s thresholds,
 ``RansacConfig.max_iterations``, ...) and checks that the replay writes the
 commands' bytes.  Running it here, as ``bench/run.py`` starts it, makes a
-library change that breaks the replay fail this suite.
+library change that breaks the replay fail this suite.  Its exact counts
+(bytes written, LM iterations, pairs kept, ...) must also equal those that
+``bench/expected_counts.json`` records for seed 1 when that file was
+recorded on this platform, so a change that moves an output byte fails here
+too, not only in a benchmark run.
 """
 
 import json
@@ -18,6 +22,7 @@ from pathlib import Path
 import pytest
 
 WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
+EXPECTED_COUNTS = WORKER.parent / "expected_counts.json"
 
 
 @pytest.mark.parametrize("workload", ["short_pairs_sweep", "scans_8x15s_outliers"])
@@ -33,3 +38,13 @@ def test_traced_benchmark_replay_reproduces_the_commands(tmp_path, workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0, proc.stderr
     assert result["problems"] == []
+
+    # The platform rule of bench/run.py's expected_counts: every recorded
+    # platform key must match.
+    recorded = json.loads(EXPECTED_COUNTS.read_text())
+    platform = {k: result["platform"].get(k) for k in recorded["platform"]}
+    if platform != recorded["platform"]:
+        differ = sorted(k for k in platform if platform[k] != recorded["platform"][k])
+        pytest.skip(f"{EXPECTED_COUNTS.name} was recorded on another platform (differs: {differ})")
+    expected = recorded["counts"][workload]["1"]
+    assert {k: result["counts"].get(k) for k in expected} == expected

@@ -562,3 +562,9 @@ def test_fused_ego_velocities_validates_inputs():
     short = generate_trajectory(TrajectoryProfile(kind="periodic_default", duration=5.0))
     with pytest.raises(InvalidArgumentError):
         fused_ego_velocities(report, pairs, ground_truth=short)
+    # as many pairs as the report, but at other timesteps
+    later = MeasurementPairs(
+        pairs.timestamps + 7.5, pairs.h_a, pairs.h_b, pairs.cov_a, pairs.cov_b
+    )
+    with pytest.raises(InvalidArgumentError, match="report and pairs disagree on the timesteps"):
+        fused_ego_velocities(report, later)

@@ -535,6 +535,46 @@ def test_evaluate_scans_input_with_truth(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_evaluate_reads_truth_records_in_any_order(tmp_path, calibrated, capsys):
+    pairs, report, _ = calibrated
+    header, extrinsics, *rows = (pairs.parent / "truth.txt").read_text().splitlines()
+    shuffled = tmp_path / "truth.txt"
+    shuffled.write_text("\n".join([header, extrinsics, *rows[::-1]]) + "\n")
+    for truth, out in [(pairs.parent / "truth.txt", "ev"), (shuffled, "ev_shuffled")]:
+        code = run("evaluate", "--input", pairs, "--report", report, "--truth", truth,
+                   "--out", tmp_path / out)
+        assert code == cli.EXIT_OK
+    evaluation = (tmp_path / "ev" / "evaluation.json").read_bytes()
+    assert (tmp_path / "ev_shuffled" / "evaluation.json").read_bytes() == evaluation
+    capsys.readouterr()
+
+
+def test_evaluate_scores_the_fused_motion_only_on_the_report_s_own_pairs(tmp_path, capsys):
+    # Two windows of one 30 s log with the same count, the second 7.5 s later.
+    assert run(
+        "simulate", "--out", tmp_path / "sim", "--trials", 1, "--sigma", 0.05,
+        "--duration", 30, "--seed", 3, "--no-scans",
+    ) == cli.EXIT_OK
+    trial = trial_dir(tmp_path / "sim", sigma="0.05", dur="30")
+    pairs = load_pairs(trial / "pairs.txt")
+    first, later = tmp_path / "first.txt", tmp_path / "later.txt"
+    save_pairs(pairs[0:150], first)
+    save_pairs(pairs[75:225], later)
+    assert run("calibrate", "--input", first, "--out", tmp_path / "cal") == cli.EXIT_OK
+    report = tmp_path / "cal" / "report.json"
+    for pairs_file, out in [(first, "ev"), (later, "ev_later")]:
+        code = run("evaluate", "--input", pairs_file, "--report", report,
+                   "--truth", trial / "truth.txt", "--out", tmp_path / out)
+        assert code == cli.EXIT_OK
+    own = read_json(tmp_path / "ev" / "evaluation.json")
+    other = read_json(tmp_path / "ev_later" / "evaluation.json")
+    assert own["median_errors"]["radar_a"]["fused"] < 0.1
+    assert other["n_pairs"] == own["n_pairs"] == 150
+    assert other["median_errors"] is None
+    assert other["extrinsic_error_deg"] == own["extrinsic_error_deg"]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("omega", ["1e308", "-1e308"])
 def test_evaluate_refuses_a_truth_rate_whose_velocity_error_overflows(
     tmp_path, calibrated, omega, capsys

@@ -8,7 +8,7 @@ import pytest
 
 from radarcal.calib_solver import MeasurementPairs, solve_lm
 from radarcal.ego_velocity import EgoVelocityEstimate, RadarScan, RansacConfig
-from radarcal.errors import InvalidArgumentError, ParseError
+from radarcal.errors import InvalidArgumentError, ParseError, UnidentifiableError
 from radarcal.pipeline_io import (
     _CONFIG_FIELDS,
     PAIRS_HEADER,
@@ -199,6 +199,26 @@ def test_truth_round_trip_is_bitwise(tmp_path):
     np.testing.assert_array_equal(back.v_a, truth.v_a)
     np.testing.assert_array_equal(back.omega, truth.omega)
     np.testing.assert_array_equal(back.alpha, truth.alpha)
+
+
+def test_truth_records_follow_the_pairs_order_rule(tmp_path):
+    # Any order loads sorted by timestamp, the extrinsics line anywhere.
+    truth = generate_trajectory(TrajectoryProfile(duration=2.0), translation=(-1.2, -1.6))
+    path = tmp_path / "truth.txt"
+    save_truth(truth, path)
+    header, extrinsics, *rows = path.read_text().splitlines()
+    shuffled = tmp_path / "shuffled.txt"
+    order = np.random.default_rng(0).permutation(len(rows))
+    shuffled.write_text("\n".join([header, *(rows[k] for k in order), extrinsics]) + "\n")
+    again = tmp_path / "again.txt"
+    save_truth(load_truth(shuffled), again)
+    assert again.read_bytes() == path.read_bytes()
+
+    dup = tmp_path / "dup.txt"
+    dup.write_text("\n".join([header, extrinsics, rows[1], rows[0], rows[1]]) + "\n")
+    with pytest.raises(ParseError, match=r"duplicate truth timestamp") as exc:
+        load_truth(dup)
+    assert exc.value.line == 5
 
 
 def test_truth_requires_extrinsics_line(tmp_path):
@@ -445,6 +465,21 @@ def test_option_dataclasses_refuse_nan_built_in_code(key):
     cfg = PipelineConfig()
     with pytest.raises(InvalidArgumentError):
         dataclasses.replace(cfg if section is None else getattr(cfg, section), **{attr: math.nan})
+
+
+def test_a_loaded_config_gives_its_excitation_thresholds_to_the_solver(tmp_path):
+    # A threshold this high marks every timestep degenerate, so the solver refuses.
+    path = tmp_path / "config.txt"
+    path.write_text("# radarcal config 1\nexcitation.det_rel_tol = 1e6\n")
+    cfg = load_config(path)
+    assert cfg.solver.excitation_thresholds == cfg.excitation
+    pairs = simulate_pairs(
+        generate_trajectory(TrajectoryProfile(duration=15.0)), NoiseSpec(sigma_r=0.1), rng_seed=2
+    )
+    solve_lm(pairs)  # identifiable under the default thresholds
+    with pytest.raises(UnidentifiableError) as exc:
+        solve_lm(pairs, cfg.solver)
+    assert exc.value.report.fraction_degenerate == 1.0
 
 
 def test_config_ignores_comments_and_blank_lines():
