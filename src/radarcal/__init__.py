@@ -25,11 +25,9 @@ Typical flow::
 
 from .calib_solver import (
     CalibrationReport,
-    ExcitationVerdict,
     Extrinsics,
     MeasurementPairs,
     SolverOptions,
-    assess_excitation,
     fused_ego_velocities,
     init_motion_states,
     init_rotation,
@@ -60,6 +58,8 @@ from .errors import (
 from .identifiability import (
     ExcitationReport,
     ExcitationThresholds,
+    ExcitationVerdict,
+    assess_excitation,
     excitation_report,
     observability_det,
 )

@@ -17,6 +17,9 @@ The estimated state is ``[v_a^1, omega_gamma^1, ..., v_a^M, omega_gamma^M,
 theta_t, theta_ba]`` (dimension 3M + 2), fit to the 4M stacked residuals by
 Levenberg-Marquardt with analytic Jacobians.  The per-timestep blocks are
 eliminated with a Schur complement, so each iteration costs O(M).
+:func:`solve_lm` first applies the excitation verdict of
+:mod:`radarcal.identifiability`, which refuses data that cannot constrain
+the extrinsics.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .errors import (
     InsufficientExcitationError,
     InvalidArgumentError,
     InvalidWeightError,
-    UnidentifiableError,
 )
 from .geometry import (
     angle_between,
@@ -58,6 +60,14 @@ COV_FLOOR = 1e-6
 # inverts the sum of both radars' covariances of a pair; near 1/eps the
 # rounding of that sum makes it singular.
 MAX_COV_CONDITION = 1e12
+
+# Largest velocity component (m/s) the solver computes with, far above any
+# vehicle's.  Its largest product is the excitation check's summed |det(O)|:
+# a speed times a rate over a step of at least identifiability.MIN_TIME_STEP
+# (1e-150 s), over at most simulator.MAX_SAMPLES (1e6) pairs, about
+# 1e50**2 / 1e-150 * 1e6 = 1e256.  A whitened residual is at most
+# 1/sqrt(COV_FLOOR) = 1e3 times a speed.
+MAX_SPEED = 1e50
 
 # Levenberg-Marquardt schedule (Marquardt, SIAM J. Appl. Math. 1963): the
 # damping starts at LM_LAMBDA0, grows by LM_LAMBDA_UP after a rejected step
@@ -234,9 +244,17 @@ def _whiteners(P: np.ndarray) -> np.ndarray:
 
 
 def _weights(pairs: MeasurementPairs) -> _Weights:
-    """The one conversion of the pairs' covariances into weights."""
+    """The one conversion of the pairs' covariances into weights; a velocity
+    component beyond ``MAX_SPEED`` is refused, naming its pair."""
     if not len(pairs):
         raise InsufficientDataError("no measurement pairs supplied")
+    for what, h in (("radar a", pairs.h_a), ("radar b", pairs.h_b)):
+        if h.max() > MAX_SPEED or h.min() < -MAX_SPEED:  # no array is made unless refused
+            t = float(pairs.timestamps[np.argmax(np.abs(h).max(axis=1) > MAX_SPEED)])
+            raise InvalidArgumentError(
+                f"{what} velocity of the pair at t={t!r} exceeds {MAX_SPEED:g} m/s: "
+                f"too large to calibrate with"
+            )
     Pa = _inv_psd_2x2(pairs.cov_a, "radar a", pairs.timestamps)
     Pb = _inv_psd_2x2(pairs.cov_b, "radar b", pairs.timestamps)
     return _Weights(Pa=Pa, Pb=Pb, Wa=_whiteners(Pa), Wb=_whiteners(Pb))
@@ -333,77 +351,6 @@ def init_motion_states(pairs: MeasurementPairs, extrinsics: Extrinsics) -> Calib
     """The motion states that best explain the pairs at fixed extrinsics."""
     v, w = _motion_from_data(pairs, _weights(pairs), extrinsics.theta_t, extrinsics.theta_ba)
     return CalibState(v_a=v, omega_gamma=w, extrinsics=extrinsics)
-
-
-def _dominant_motion_axis(ha: np.ndarray) -> float:
-    """Axis of the dominant motion direction, used as the adversarial
-    fallback when the data contain no rotational signal (any axis fits
-    equally badly then, and the motion direction is the worst case)."""
-    angles = np.arctan2(ha[:, 1], ha[:, 0])
-    return circular_median(wrap_axis(angles), math.pi)
-
-
-@dataclass
-class ExcitationVerdict:
-    """Closed-form extrinsics guess and the excitation verdict judged there."""
-
-    guess: Extrinsics
-    report: ExcitationReport | None   # None below the 3 pairs the check needs
-    reasons: list[str]                # why calibration is refused; empty if it is not
-
-    def raise_if_refused(self) -> None:
-        """Raise the error by which calibration refuses these data, if any."""
-        if not self.reasons:
-            return
-        message = "; ".join(self.reasons)
-        if self.report is None:
-            raise InsufficientDataError(message)
-        raise UnidentifiableError(
-            f"motion does not excite the extrinsics ({message})", report=self.report
-        )
-
-
-def assess_excitation(
-    pairs: MeasurementPairs, options: SolverOptions | None = None
-) -> ExcitationVerdict:
-    """Closed-form extrinsics guess, and the verdict by which calibration refuses.
-
-    Data are refused when the axis init finds no rotational signal (the guess
-    then falls back to the dominant motion axis), or when the excitation
-    report at the guess raises a flag or finds more than
-    ``max_degenerate_fraction`` of the timesteps degenerate.
-    """
-    opts = options or SolverOptions()
-    return _assess_excitation(pairs, _weights(pairs), opts)[0]
-
-
-def _assess_excitation(pairs: MeasurementPairs, wt: _Weights, opts: SolverOptions):
-    """:func:`assess_excitation`, plus the motion fit at the guess that the
-    excitation report made (``None`` below 3 pairs), so that LM starts from
-    it instead of fitting again."""
-    from .identifiability import _excitation_report  # deferred: identifiability uses this module
-
-    theta_ba = init_rotation(pairs, k=opts.init_k, min_speed=opts.min_speed)
-    reasons = []
-    try:
-        theta_t = init_translation_axis(pairs, theta_ba, min_lever=opts.min_lever)
-    except InsufficientExcitationError:
-        theta_t = _dominant_motion_axis(pairs.h_a)
-        reasons.append("no rotational signal")
-    guess = Extrinsics(theta_t=theta_t, theta_ba=theta_ba)
-    if len(pairs) < 3:
-        reasons = [f"excitation check needs at least 3 pairs, got {len(pairs)}"]
-        return ExcitationVerdict(guess=guess, report=None, reasons=reasons), None
-
-    report, motion = _excitation_report(pairs, wt, guess, opts.excitation_thresholds)
-    if report.fraction_degenerate > opts.max_degenerate_fraction:
-        reasons.append(
-            f"degenerate fraction {report.fraction_degenerate:.3f} "
-            f"above {opts.max_degenerate_fraction:g}"
-        )
-    if report.flags:
-        reasons.append("flags: " + ", ".join(report.flags))
-    return ExcitationVerdict(guess=guess, report=report, reasons=reasons), motion
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +752,7 @@ def solve_lm(pairs: MeasurementPairs, options: SolverOptions | None = None) -> C
     if M < 2:
         raise InsufficientDataError(f"need at least 2 pairs, got {M}")
 
+    from .identifiability import _assess_excitation  # deferred: identifiability imports this module
     verdict, motion = _assess_excitation(pairs, wt, opts)
     if opts.enforce_excitation:
         verdict.raise_if_refused()

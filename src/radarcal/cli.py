@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline_io
-from .calib_solver import assess_excitation, fused_ego_velocities, solve_lm, velocity_error_metric
+from .calib_solver import fused_ego_velocities, solve_lm, velocity_error_metric
 from .errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -54,6 +54,7 @@ from .errors import (
     utf8_text,
 )
 from .geometry import median, wrap_axis, wrap_to_pi
+from .identifiability import assess_excitation
 from .scale_recovery import (
     DEFAULT_HEADING_SIGMA,
     DEFAULT_JERK_PSD,
@@ -316,6 +317,15 @@ def cmd_excitation_check(args) -> int:
 # evaluate
 
 
+def _statistic(what: str, fn, *args) -> float:
+    """``fn(*args)`` with overflow warnings off; refused when it overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = fn(*args)
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"{what} overflows: the velocities are too large")
+    return value
+
+
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     pairs = _pairs_from_input(args.input, cfg)
@@ -324,14 +334,19 @@ def cmd_evaluate(args) -> int:
     payload = {
         "format": pipeline_io.EVALUATION_FORMAT,
         "n_pairs": len(pairs),
-        "mean_velocity_error": velocity_error_metric(pairs, report.extrinsics),
+        "mean_velocity_error": _statistic(
+            "mean velocity error", velocity_error_metric, pairs, report.extrinsics
+        ),
         "median_errors": None,
         "extrinsic_error_deg": None,
     }
     if np.array_equal(pairs.timestamps, report.timestamps):
         errors = fused_ego_velocities(report, pairs, ground_truth=truth)
         payload["median_errors"] = {
-            radar: {kind: median(series) for kind, series in both.items()}
+            radar: {
+                kind: _statistic(f"{radar} {kind} median velocity error", median, series)
+                for kind, series in both.items()
+            }
             for radar, both in errors.items()
         }
     if truth is not None:

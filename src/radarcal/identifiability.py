@@ -1,4 +1,4 @@
-"""Excitation diagnostics: can this motion constrain the extrinsics at all?
+"""Excitation verdict: can this motion constrain the extrinsics at all?
 
 The extrinsics are locally observable at a timestep only when the scalar
 
@@ -8,9 +8,10 @@ is nonzero: the angular acceleration ``alpha_gamma`` (rate of change of the
 unscaled turn rate) times the planar cross product of the ego-velocity with
 the translation axis.  It vanishes for three motion defects: no angular
 acceleration, no ego-velocity, or motion along the axis itself.  This module
-classifies every timestep of a dataset against that determinant and raises
-coarse flags naming the defect, so a calibration run can refuse clearly
-hopeless data instead of returning an arbitrary answer.
+classifies every timestep of a dataset against that determinant, raises
+coarse flags naming the defect, and gives the one verdict by which
+calibration refuses clearly hopeless data instead of returning an arbitrary
+answer (:func:`assess_excitation`).
 """
 
 from __future__ import annotations
@@ -20,8 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calib_solver import Extrinsics, MeasurementPairs, _motion_from_data, _weights
-from .errors import InsufficientDataError, InvalidArgumentError
+from .calib_solver import (
+    Extrinsics, MeasurementPairs, SolverOptions, _motion_from_data, _weights, init_rotation,
+    init_translation_axis,
+)
+from .errors import (
+    InsufficientDataError, InsufficientExcitationError, InvalidArgumentError, UnidentifiableError,
+)
 from .geometry import circular_median, median, wrap_axis
 
 FLAG_ZERO_ALPHA = "zero_alpha"
@@ -164,18 +170,12 @@ def _excitation_report(pairs: MeasurementPairs, wt, extrinsics_guess: Extrinsics
     if np.mean(dead) >= FLAG_FRACTION:
         flags.append(FLAG_ZERO_VELOCITY)
     moving = speeds > SPEED_FLOOR
-    aligned = np.zeros(M, dtype=bool)
-    aligned[moving] = np.abs(cross[moving]) <= ALIGN_TOL * speeds[moving]
-    aligned_flag = bool(np.mean(aligned) >= FLAG_FRACTION)
-    if not aligned_flag and np.count_nonzero(moving) >= 2:
-        dirs = np.arctan2(ha[moving, 1], ha[moving, 0])
-        folded = wrap_axis(dirs)
-        center = circular_median(folded, math.pi)
-        dev = np.abs(folded - center)
-        dev = np.minimum(dev, math.pi - dev)
-        aligned_flag = median(dev) <= ALIGN_TOL
-    elif np.count_nonzero(moving) < 2:
-        aligned_flag = True
+    aligned = moving & (np.abs(cross) <= ALIGN_TOL * speeds)
+    aligned_flag = np.count_nonzero(moving) < 2 or np.mean(aligned) >= FLAG_FRACTION
+    if not aligned_flag:
+        folded = wrap_axis(np.arctan2(ha[moving, 1], ha[moving, 0]))
+        dev = np.abs(folded - circular_median(folded, math.pi))
+        aligned_flag = median(np.minimum(dev, math.pi - dev)) <= ALIGN_TOL
     if aligned_flag:
         flags.append(FLAG_AXIS_ALIGNED)
 
@@ -187,3 +187,64 @@ def _excitation_report(pairs: MeasurementPairs, wt, extrinsics_guess: Extrinsics
         n_samples=M,
         flags=flags,
     ), (v, w)
+
+
+@dataclass
+class ExcitationVerdict:
+    """Closed-form extrinsics guess and the excitation verdict judged there."""
+
+    guess: Extrinsics
+    report: ExcitationReport | None   # None below the 3 pairs the check needs
+    reasons: list[str]                # why calibration is refused; empty if it is not
+
+    def raise_if_refused(self) -> None:
+        """Raise the error by which calibration refuses these data, if any."""
+        if not self.reasons:
+            return
+        message = "; ".join(self.reasons)
+        if self.report is None:
+            raise InsufficientDataError(message)
+        raise UnidentifiableError(
+            f"motion does not excite the extrinsics ({message})", report=self.report
+        )
+
+
+def assess_excitation(
+    pairs: MeasurementPairs, options: SolverOptions | None = None
+) -> ExcitationVerdict:
+    """Closed-form extrinsics guess, and the verdict by which calibration refuses.
+
+    Data are refused when the axis init finds no rotational signal (the guess
+    then falls back to the dominant motion axis), or when the excitation
+    report at the guess raises a flag or finds more than
+    ``max_degenerate_fraction`` of the timesteps degenerate.
+    """
+    return _assess_excitation(pairs, _weights(pairs), options or SolverOptions())[0]
+
+
+def _assess_excitation(pairs: MeasurementPairs, wt, opts: SolverOptions):
+    """:func:`assess_excitation` with the solver's weights ``wt``, plus the
+    motion fit at the guess (``None`` below 3 pairs), from which LM starts."""
+    theta_ba = init_rotation(pairs, k=opts.init_k, min_speed=opts.min_speed)
+    reasons = []
+    try:
+        theta_t = init_translation_axis(pairs, theta_ba, min_lever=opts.min_lever)
+    except InsufficientExcitationError:
+        # No rotational signal: every axis fits equally badly, so fall back to
+        # the worst case, the dominant motion direction.
+        theta_t = circular_median(wrap_axis(np.arctan2(pairs.h_a[:, 1], pairs.h_a[:, 0])), math.pi)
+        reasons.append("no rotational signal")
+    guess = Extrinsics(theta_t=theta_t, theta_ba=theta_ba)
+    if len(pairs) < 3:
+        reasons = [f"excitation check needs at least 3 pairs, got {len(pairs)}"]
+        return ExcitationVerdict(guess=guess, report=None, reasons=reasons), None
+
+    report, motion = _excitation_report(pairs, wt, guess, opts.excitation_thresholds)
+    if report.fraction_degenerate > opts.max_degenerate_fraction:
+        reasons.append(
+            f"degenerate fraction {report.fraction_degenerate:.3f} "
+            f"above {opts.max_degenerate_fraction:g}"
+        )
+    if report.flags:
+        reasons.append("flags: " + ", ".join(report.flags))
+    return ExcitationVerdict(guess=guess, report=report, reasons=reasons), motion

@@ -51,6 +51,7 @@ from .ego_velocity import (
 )
 from .errors import InvalidArgumentError, ParseError, open_text, utf8_text
 from .identifiability import ExcitationReport, ExcitationThresholds
+from .simulator import GroundTruth
 
 SCANS_HEADER = "# radarcal scans 1"
 PAIRS_HEADER = "# radarcal pairs 1"
@@ -244,8 +245,6 @@ def save_truth(truth, path):
 def load_truth(path):
     """Read a truth file; like pairs, records may come in any order and are
     returned sorted by timestamp."""
-    from .simulator import GroundTruth  # deferred: simulator builds on solver types
-
     extrinsics = []
 
     def records():

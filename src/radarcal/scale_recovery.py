@@ -243,7 +243,8 @@ def recover_scale(
     The reference is linearly interpolated onto the calibration timestamps;
     samples where it falls below ``min_rate`` (or lies outside the reference
     time span) are dropped.  Needs at least ``MIN_SAMPLES`` survivors.  A rate
-    ratio that overflows (a huge ``omega_gamma``) raises InvalidArgumentError.
+    ratio or a median of them that overflows (a huge ``omega_gamma``) raises
+    InvalidArgumentError.
     """
     if not min_rate > 0:
         raise InvalidArgumentError(f"min_rate must be positive, got {min_rate}")
@@ -260,8 +261,9 @@ def recover_scale(
             f"only {int(keep.sum())} reference samples at or above {min_rate} rad/s, "
             f"need {MIN_SAMPLES}"
         )
-    with np.errstate(over="ignore"):  # a ratio that overflows is refused below
+    with np.errstate(over="ignore"):  # a ratio or their median that overflows is refused below
         ratios = np.abs(wg[keep]) / np.abs(ref[keep])
+        scale = median(ratios)
     bad = ~np.isfinite(ratios)
     if bad.any():
         t = float(ts[inside][keep][bad][0])
@@ -269,7 +271,11 @@ def recover_scale(
             f"rate ratio at t={t!r} overflows: the report's omega_gamma is too large "
             f"for the reference rate"
         )
-    scale = median(ratios)
+    if not math.isfinite(scale):
+        raise InvalidArgumentError(
+            "median rate ratio overflows: the report's omega_gamma values are too large "
+            "for the reference rate"
+        )
     return ScaleResult(
         gamma=scale,
         translation_magnitude=scale,

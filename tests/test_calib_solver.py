@@ -14,7 +14,6 @@ from radarcal.calib_solver import (
     SolverOptions,
     _profile_costs,
     _weights,
-    assess_excitation,
     fused_ego_velocities,
     init_motion_states,
     init_rotation,
@@ -32,7 +31,7 @@ from radarcal.errors import (
     UnidentifiableError,
 )
 from radarcal.geometry import lever_unit, rot2, wrap_to_pi
-from radarcal.identifiability import excitation_report
+from radarcal.identifiability import assess_excitation, excitation_report
 from radarcal.simulator import NoiseSpec, TrajectoryProfile, generate_trajectory, simulate_pairs
 
 

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from radarcal import cli
+from radarcal.geometry import lever_unit
 from radarcal.pipeline_io import (
     PipelineConfig,
     load_config,
@@ -41,6 +43,13 @@ def simulate(out, *extra) -> None:
 
 def trial_dir(out, sigma="0.1", dur="15"):
     return out / f"sigma_{sigma}" / f"dur_{dur}" / "trial_0"
+
+
+def assert_no_nan_or_infinity(out):
+    """No file under ``out`` holds a NaN or an infinity, as text or as JSON."""
+    for path in Path(out).rglob("*"):
+        if path.is_file():
+            assert not re.search(r"(?i)\b(nan|inf|infinity)\b", path.read_text()), path
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +423,53 @@ def test_a_pair_time_step_outside_the_float_range_of_its_difference_exits_2(
     assert "lies outside [1e-150, 1e+150] s" in err
 
 
+def huge_velocity_pairs(path, out, rows, column, value):
+    """The pairs of ``path`` with ``column`` of radar a's velocity at ``rows``
+    set to ``value``, saved as ``out``."""
+    pairs = load_pairs(path)
+    h_a = pairs.h_a.copy()
+    h_a[rows, column] = value
+    save_pairs(dataclasses.replace(pairs, h_a=h_a), out)
+    return pairs
+
+
+@pytest.mark.parametrize("command", ["calibrate", "excitation-check"])
+@pytest.mark.parametrize("column", [0, 1])
+def test_a_velocity_column_too_large_to_compute_with_exits_2(
+    tmp_path, calibrated, command, column, capsys
+):
+    # Finite, but the excitation check's medians and gradient overflow on it.
+    bad = tmp_path / "pairs.txt"
+    huge_velocity_pairs(calibrated[0], bad, slice(None), column, 9e307)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(command, "--input", bad, "--out", out)
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "radar a velocity of the pair at t=" in err
+    assert "exceeds 1e+50 m/s" in err
+    assert_no_nan_or_infinity(out)
+
+
+@pytest.mark.parametrize("enforce", [True, False])
+def test_one_velocity_too_large_to_compute_with_exits_2(tmp_path, calibrated, enforce, capsys):
+    # Refused as unidentifiable (exit 5) while the check was on; with it off
+    # the LM cost overflowed into a NaN angle.
+    bad = tmp_path / "pairs.txt"
+    pairs = huge_velocity_pairs(calibrated[0], bad, 5, 0, 1e160)
+    out = tmp_path / "out"
+    flags = [] if enforce else ["--no-enforce-excitation"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("calibrate", "--input", bad, "--out", out, *flags)
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    t = float(pairs.timestamps[5])
+    assert f"radar a velocity of the pair at t={t!r} exceeds 1e+50 m/s" in err
+    assert_no_nan_or_infinity(out)
+
+
 @pytest.mark.parametrize("profile", ["constant_omega", "straight_line"])
 def test_calibrate_refuses_degenerate_profiles(tmp_path, profile, capsys):
     sim = tmp_path / "sim"
@@ -599,6 +655,32 @@ def test_evaluate_refuses_a_truth_rate_whose_velocity_error_overflows(
     assert not (tmp_path / "ev").exists()
 
 
+@pytest.mark.parametrize("shift", ["x", "y", "along the lever"])
+def test_evaluate_refuses_a_velocity_error_statistic_that_overflows(
+    tmp_path, calibrated, shift, capsys
+):
+    pairs_file, report, _ = calibrated
+    pairs = load_pairs(pairs_file)
+    if shift == "along the lever":
+        # The best-fit rates absorb the shift, so the mean stays finite, but
+        # radar a's raw errors are all about 9e307 and their median is not.
+        h_a = pairs.h_a + 9e307 * lever_unit(read_report(report).extrinsics.theta_t)
+        named = "radar_a raw median velocity error overflows"
+    else:
+        h_a = pairs.h_a.copy()
+        h_a[:, "xy".index(shift)] = 9e307
+        named = "mean velocity error overflows"
+    bad = tmp_path / "pairs.txt"
+    save_pairs(dataclasses.replace(pairs, h_a=h_a), bad)
+    out = tmp_path / "ev"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("evaluate", "--input", bad, "--report", report, "--out", out)
+    assert code == cli.EXIT_USAGE
+    assert f"{named}: the velocities are too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # recover-scale
 
@@ -618,6 +700,26 @@ def test_recover_scale_refuses_a_rate_ratio_that_overflows(tmp_path, calibrated,
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert f"rate ratio at t={payload['timestamps'][k]!r} overflows" in err
+    assert not out.exists()
+
+
+def test_recover_scale_refuses_a_median_rate_ratio_that_overflows(tmp_path, calibrated, capsys):
+    # Every ratio is a finite 9e307; the mean of the two middle ones is not.
+    _, report, _ = calibrated
+    payload = json.loads(report.read_text())
+    assert len(payload["fused_motion"]) % 2 == 0
+    for row in payload["fused_motion"]:
+        row[2] = 9e307
+    huge = tmp_path / "report.json"
+    huge.write_text(json.dumps(payload))
+    rates = tmp_path / "rates.csv"
+    rates.write_text("t,omega\n0,1\n100,1\n")
+    out = tmp_path / "sc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("recover-scale", "--report", huge, "--rates", rates, "--out", out)
+    assert code == cli.EXIT_USAGE
+    assert "median rate ratio overflows" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -66,6 +66,19 @@ def _paired_covariance(lines, rng):
     return "paired 1e160 covariance on line %d" % (k + 1)
 
 
+def _huge_velocity_column(lines, rng):
+    """One velocity column of every pair record at +-9e307, finite but too
+    large to compute with."""
+    col = rng.choice([1, 2, 6, 7])
+    value = rng.choice([b"9e307", b"-9e307"])
+    for k, line in enumerate(lines):
+        toks = line.split()
+        if len(toks) == 11 and not line.startswith(b"#"):
+            toks[col] = value
+            lines[k] = b" ".join(toks)
+    return "velocity column %d of every record set to %r" % (col, value)
+
+
 def _token(lines, rng):
     k = rng.randrange(len(lines))
     toks = lines[k].split(b",") if b"," in lines[k] else lines[k].split(b" ")
@@ -132,7 +145,8 @@ def test_mutated_inputs_exit_with_a_documented_code(tmp_path, inputs, kind, caps
     for name, data in inputs.items():
         files[name] = tmp_path / name
         files[name].write_bytes(data)
-    mutations = MUTATIONS + ([_paired_covariance] * 2 if kind == "pairs" else [])
+    pairs_only = [_paired_covariance, _huge_velocity_column] * 2 if kind == "pairs" else []
+    mutations = MUTATIONS + pairs_only
     rng = random.Random(f"radarcal fuzz {kind}")
     escaped = []
     for case in range(CASES_PER_TARGET):
