@@ -56,9 +56,9 @@ if TYPE_CHECKING:
 # inverted into weights; keeps noise-free (zero covariance) data usable.
 COV_FLOOR = 1e-6
 
-# Largest ratio of a floored covariance's eigenvalues.  The coarse grid
-# inverts the sum of both radars' covariances of a pair; near 1/eps the
-# rounding of that sum makes it singular.
+# Largest ratio of a floored covariance's eigenvalues.  _inv_psd_2x2 divides
+# by a*c - b*b, whose rounding error grows with that ratio: near 1/eps the
+# weights, and the LM's normal matrices built from them, lose their digits.
 MAX_COV_CONDITION = 1e12
 
 # Largest velocity component (m/s) the solver computes with, far above any
@@ -68,6 +68,10 @@ MAX_COV_CONDITION = 1e12
 # 1e50**2 / 1e-150 * 1e6 = 1e256.  A whitened residual is at most
 # 1/sqrt(COV_FLOOR) = 1e3 times a speed.
 MAX_SPEED = 1e50
+
+# Elements (rotations x axes x pairs) of each of the profile sweep's two largest
+# buffers, 64 KB; a rotation whose row alone is larger gets a block of its own.
+PROFILE_BLOCK = 8192
 
 # Levenberg-Marquardt schedule (Marquardt, SIAM J. Appl. Math. 1963): the
 # damping starts at LM_LAMBDA0, grows by LM_LAMBDA_UP after a rejected step
@@ -704,22 +708,33 @@ def _profile_costs(
     (variable projection).  Eliminating ``v_a`` leaves the mismatch
     ``d = h_a - R^T h_b`` with covariance ``C = C_a + R^T C_b R``;
     eliminating ``omega_gamma`` along ``u = lever_unit(theta_t)`` then
-    leaves ``d^T H d - (u^T H d)^2 / (u^T H u)`` per timestep, ``H = C^-1``.
-    ``H`` and ``d`` depend on ``theta_ba`` alone, so the sweep loops over
-    ``theta_ba`` and vectorizes over ``theta_t`` and the timesteps.
+    leaves ``d^T H d - (u^T H d)^2 / (u^T H u) = (n^T d)^2 / (n^T C n)``,
+    ``H = C^-1``, ``n = axis_unit(theta_t)``: only the mismatch along the axis
+    stays unexplained.  In 2-D, ``P = H - H u u^T H / (u^T H u)`` is symmetric
+    with ``P u = 0``, so ``P = a n n^T``; ``P C n = n`` as ``u^T n = 0``, so
+    ``a = 1 / (n^T C n)``: no cost is negative.  ``d`` and ``C`` (stored as
+    C00, 2 C01, C11) depend on ``theta_ba`` alone and are built per block.
     """
-    Ca = np.linalg.inv(wt.Pa)
-    Cb = np.linalg.inv(wt.Pb)
-    U = np.stack([-np.sin(t_grid), np.cos(t_grid)], axis=1)
-    costs = np.empty((t_grid.size, ba_grid.size))
-    for j, theta_ba in enumerate(ba_grid):
-        R = rot2(float(theta_ba))
-        H = np.linalg.inv(Ca + R.T @ Cb @ R)
-        d = pairs.h_a - pairs.h_b @ R                 # rows h_a - R^T h_b
-        Hd = np.einsum("mij,mj->mi", H, d)
-        uHd = U @ Hd.T                                # (G_t, M)
-        uHu = np.einsum("ti,mij,tj->tm", U, H, U)
-        costs[:, j] = np.sum(d * Hd) - np.sum(uHd * uHd / uHu, axis=1)
+    Ca, Cb = np.linalg.inv(wt.Pa), np.linalg.inv(wt.Pb)
+    ca3 = np.stack([Ca[:, 0, 0], 2.0 * Ca[:, 0, 1], Ca[:, 1, 1]])
+    cb3 = np.stack([Cb[:, 0, 0], Cb[:, 0, 1], Cb[:, 1, 1]])
+    N = np.stack([np.cos(t_grid), np.sin(t_grid)], axis=1)       # n per axis cell
+    N2 = N[:, [0, 0, 1]] * N[:, [0, 1, 1]]                       # (c^2, c s, s^2)
+    c, s = np.cos(ba_grid), np.sin(ba_grid)
+    Rt = np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)       # R^T per rotation
+    cc, ss, cs2 = c * c, s * s, 2.0 * c * s      # K: C_b's (C00, C01, C11) -> R^T C_b R's C
+    K = np.stack([cc, cs2, ss, -cs2, 2.0 * (cc - ss), cs2, ss, -cs2, cc], axis=1).reshape(-1, 3, 3)
+    M, T, B = len(pairs), t_grid.size, ba_grid.size
+    rows = min(B, max(1, PROFILE_BLOCK // (T * M)))
+    D, Q, num, den = (np.empty((rows, k, M)) for k in (2, 3, T, T))
+    costs = np.empty((T, B))
+    for j in range(0, B, rows):
+        d, q, e, f = (x[:B - j] for x in (D, Q, num, den))
+        np.subtract(pairs.h_a.T, np.matmul(Rt[j:j + rows], pairs.h_b.T, out=d), out=d)
+        np.add(np.matmul(K[j:j + rows], cb3, out=q), ca3, out=q)
+        np.square(np.matmul(N, d, out=e), out=e)
+        np.divide(e, np.matmul(N2, q, out=f), out=e)
+        costs[:, j:j + rows] = e.sum(axis=2).T
     return costs
 
 
@@ -764,9 +779,9 @@ def solve_lm(pairs: MeasurementPairs, options: SolverOptions | None = None) -> C
     # long baselines), and on very short datasets it rests on a handful of
     # pairs.  A coarse sweep of the two extrinsic angles with closed-form
     # motion fits is insensitive to both, so rerun from its best cell and
-    # keep the better result.  Short datasets always get the sweep (it costs
-    # milliseconds there); long ones only when the first run's cost is far
-    # above the residual count implied by the declared covariances.
+    # keep the better result.  Short datasets always get the sweep (2 ms for
+    # its 10,368 cells at M = 50, one core); long ones only when the first
+    # run's cost is far above the residual count implied by the covariances.
     dof = max(4 * M - (3 * M + 2), 1)
     if M <= opts.grid_init_max_pairs:
         step_deg = 2.5

@@ -30,7 +30,7 @@ from radarcal.errors import (
     InvalidArgumentError,
     UnidentifiableError,
 )
-from radarcal.geometry import lever_unit, rot2, wrap_to_pi
+from radarcal.geometry import axis_unit, lever_unit, rot2, wrap_to_pi
 from radarcal.identifiability import assess_excitation, excitation_report
 from radarcal.simulator import NoiseSpec, TrajectoryProfile, generate_trajectory, simulate_pairs
 
@@ -202,6 +202,103 @@ def test_profile_costs_match_point_api():
             ext = Extrinsics(theta_t=float(tt), theta_ba=float(tb))
             r = residuals(init_motion_states(pairs, ext), pairs)
             assert abs(costs[i, j] - r @ r) <= 1e-12 * (r @ r)
+
+
+def reference_profile_costs(pairs, wt, t_grid, ba_grid):
+    # the sweep's former form: one loop pass per rotation, inverting the sum
+    # of both covariances and subtracting the lever's share from d^T H d
+    Ca = np.linalg.inv(wt.Pa)
+    Cb = np.linalg.inv(wt.Pb)
+    U = np.stack([-np.sin(t_grid), np.cos(t_grid)], axis=1)
+    costs = np.empty((t_grid.size, ba_grid.size))
+    for j, theta_ba in enumerate(ba_grid):
+        R = rot2(float(theta_ba))
+        H = np.linalg.inv(Ca + R.T @ Cb @ R)
+        d = pairs.h_a - pairs.h_b @ R                 # rows h_a - R^T h_b
+        Hd = np.einsum("mij,mj->mi", H, d)
+        uHd = U @ Hd.T                                # (G_t, M)
+        uHu = np.einsum("ti,mij,tj->tm", U, H, U)
+        costs[:, j] = np.sum(d * Hd) - np.sum(uHd * uHd / uHu, axis=1)
+    return costs
+
+
+def grid(step_deg):
+    """The axis and rotation grids of the solver's sweep at this step."""
+    step = math.radians(step_deg)
+    return np.arange(0.0, math.pi, step), np.arange(-math.pi, math.pi, step)
+
+
+def sweep_logs():
+    # the benchmark's short_pairs_sweep logs of seed 1: 15 s at 10/3 Hz, sigma 0.1
+    truth = generate_trajectory(TrajectoryProfile(duration=15.0, rate=10.0 / 3.0))
+    for k in range(12):
+        yield simulate_pairs(truth, NoiseSpec(sigma_r=0.1), np.random.SeedSequence((1, k, 0)))
+
+
+def anisotropic_logs():
+    rng = np.random.default_rng(31)
+    for seed in range(4):
+        _, pairs = periodic_pairs(sigma=0.1, duration=5.0, seed=seed)
+        m = len(pairs)
+        yield dataclasses.replace(
+            pairs,
+            cov_a=[random_spd(rng, scale=0.1) for _ in range(m)],
+            cov_b=[random_spd(rng, scale=rng.uniform(0.02, 0.3)) for _ in range(m)],
+        )
+
+
+@pytest.mark.parametrize("logs", ["sweep", "sigma_0.3", "anisotropic"])
+def test_profile_costs_match_the_per_rotation_reference(logs):
+    t_grid, ba_grid = grid(2.5)
+    cases = {
+        "sweep": sweep_logs,
+        "sigma_0.3": lambda: (periodic_pairs(0.3, duration=5.0, seed=s)[1] for s in range(4)),
+        "anisotropic": anisotropic_logs,
+    }[logs]()
+    for pairs in cases:
+        wt = _weights(pairs)
+        costs = _profile_costs(pairs, wt, t_grid, ba_grid)
+        ref = reference_profile_costs(pairs, wt, t_grid, ba_grid)
+        np.testing.assert_allclose(costs, ref, rtol=1e-12, atol=0.0)
+        assert np.argmin(costs) == np.argmin(ref)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-9])
+def test_profile_costs_are_never_negative_on_noise_free_data(sigma):
+    # The former d^T H d - (u^T H d)^2 / (u^T H u) cancelled to about -4e-9
+    # at the true cell of such logs; a sum of squares cannot go below zero.
+    t_grid, ba_grid = grid(10.0)
+    rng = np.random.default_rng(0)
+    for n in range(8):
+        i, j = rng.integers(t_grid.size), rng.integers(ba_grid.size)
+        truth = generate_trajectory(
+            TrajectoryProfile(duration=5.0),
+            theta_ba=ba_grid[j],
+            translation=2.0 * axis_unit(t_grid[i]),
+        )
+        pairs = simulate_pairs(truth, NoiseSpec(sigma_r=sigma), rng_seed=n)
+        costs = _profile_costs(pairs, _weights(pairs), t_grid, ba_grid)
+        assert costs.min() >= 0.0
+        assert np.unravel_index(np.argmin(costs), costs.shape) == (i, j)
+        assert costs[i, j] < 1e-9
+
+
+@pytest.mark.parametrize("m", [50, 600])
+def test_profile_cost_columns_do_not_depend_on_the_block(m):
+    # Each rotation's column must come out bit for bit as if computed alone,
+    # so the block size can never move a start cell.  At m = 50 the rotations
+    # fill several blocks and the last one is short; at m = 600 one rotation
+    # row exceeds PROFILE_BLOCK and each rotation is a block of its own.
+    _, pairs = periodic_pairs(sigma=0.1, duration=m / 10.0, seed=5)
+    wt = _weights(pairs)
+    t_grid = np.linspace(0.0, math.pi, 18 if m > 50 else 10, endpoint=False)
+    ba_grid = np.linspace(-math.pi, math.pi, 37, endpoint=False)
+    rows = calib_solver.PROFILE_BLOCK // (t_grid.size * m)
+    assert (rows == 0) if m > 50 else (1 < rows < ba_grid.size and ba_grid.size % rows)
+    costs = _profile_costs(pairs, wt, t_grid, ba_grid)
+    for j in range(ba_grid.size):
+        alone = _profile_costs(pairs, wt, t_grid, ba_grid[j:j + 1])
+        assert np.array_equal(costs[:, j], alone[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -386,7 +386,7 @@ def test_a_pair_covariance_too_ill_conditioned_to_invert_exits_2(
     tmp_path, calibrated, command, radar, capsys
 ):
     # One entry at 1e160: still positive definite with a finite determinant,
-    # but the coarse grid's sum of both radars' covariances rounds to singular.
+    # but its eigenvalues differ by far more than MAX_COV_CONDITION.
     pairs = load_pairs(calibrated[0])
     cov = getattr(pairs, f"cov_{radar}").copy()
     cov[5, 1, 1] = 1e160
