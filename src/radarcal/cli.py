@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -419,6 +420,7 @@ def cmd_recover_scale(args) -> int:
 # parser
 
 
+@functools.cache  # once per process: parse_args does not change the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radarcal",

@@ -218,6 +218,22 @@ def _scan_seed(rng_seed: int, timestamp: float) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(rng_seed) & 0xFFFFFFFFFFFFFFFF, bits))
 
 
+def _raw_draws(seeds: list[np.random.SeedSequence], count: int) -> np.ndarray:
+    """(len(seeds), count) uint32: row r is the stream that
+    ``default_rng(seeds[r]).integers(0, 2**32, count, dtype=np.uint32)`` returns.
+
+    numpy takes a full-range uint32 as one half of a 64-bit PCG64 output, the
+    low half first, so the halves of the raw outputs are that stream, with no
+    ``Generator`` built.  They are split by shift and mask, not by a byte view,
+    so the order does not depend on the platform's byte order.
+    """
+    raw = np.stack([np.random.PCG64(seed).random_raw((count + 1) // 2) for seed in seeds])
+    u = np.empty((len(seeds), 2 * raw.shape[1]), dtype=np.uint32)
+    u[:, 0::2] = raw & 0xFFFFFFFF
+    u[:, 1::2] = raw >> 32
+    return u[:, :count]
+
+
 def _choice_pairs(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """``k`` two-point samples of ``range(n)`` as a (2, k) array, one
     ``rng.choice(n, 2, replace=False)`` per column: the reference draw."""
@@ -265,10 +281,7 @@ def _score_block(scans: list[RadarScan], n: int, config: RansacConfig):
     k = config.max_iterations
     A, y = _stack_systems(scans)
     seeds = [_scan_seed(config.rng_seed, s.timestamp) for s in scans]
-    u = np.stack([
-        np.random.default_rng(seed).integers(0, 2**32, size=3 * k, dtype=np.uint32)
-        for seed in seeds
-    ])
+    u = _raw_draws(seeds, 3 * k)
     pairs, rejected = _decode_choice_pairs(u, n)
     for r in np.flatnonzero(rejected).tolist():  # a fresh generator, on the reference draw
         pairs[:, r] = _choice_pairs(np.random.default_rng(seeds[r]), n, k)

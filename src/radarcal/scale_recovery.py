@@ -77,27 +77,24 @@ def smooth_angular_rate_from_poses(
     jerk of power spectral density ``jerk_psd``; the returned series is the
     smoothed rate component at the input timestamps.
 
-    The covariances, the Kalman gains and the backward gains depend on the
-    time steps alone, never on the headings.  On a fixed-rate track the steps
-    take a few exact lengths in a repeating pattern, and the filtered
-    covariance settles into a small set of exact float arrays.  So each step
-    whose length recurs is keyed by that length and the exact bytes of the
-    covariance it starts from, and a key seen before reuses the predicted
-    covariance, the Kalman gain and the backward gain computed for it.  On
-    the 50 Hz simulator tracks, 264 of the 749 steps of a 15 s track and
-    28,588 of the 29,999 steps of a 600 s track reuse a key.  On a clock
-    with jitter no length recurs, so no step is keyed and every step is
-    computed.  On a jittered clock rounded to 1 ms lengths recur but keys
-    rarely do, so nearly every step is keyed and computed.
-    The backward gains of the computed steps are formed in one stacked call,
-    and only the state estimates run one sample at a time.  Each quantity is
-    computed by the same expressions as in the plain per-sample recursion,
-    and equal inputs give equal bits, so the output is bit-identical to it.
-    The state passes call ``ndarray.dot``, which makes the same BLAS calls as
-    ``@`` at a lower cost per call, and write each state in place into its
-    row of a preallocated array.  Memory is linear in the samples: each
-    table holds at most one row per step, and each keyed step that misses
-    adds one key.
+    The covariances and both gains depend on the time steps alone, never on
+    the headings.  A step whose length recurs is keyed by that length and
+    the exact bytes of the covariance it starts from, and a key seen before
+    reuses the predicted covariance and the gains computed for it.  On a
+    fixed-rate track the covariance settles into a few exact arrays: 264 of
+    the 749 steps of a 15 s 50 Hz simulator track reuse a key, 28,588 of the
+    29,999 of a 600 s one, and nearly none on a jittered clock.  Memory is
+    linear in the samples: a table row per step, one key per keyed miss.
+
+    The rates are bit-identical to the plain per-sample recursion written
+    with ``@``: the same BLAS calls on the same operands and the same
+    elementwise operations, each written in place into a preallocated row.
+    A product with the measurement row h = e0 is read as the entry it
+    selects (``P.item(0)``, ``P[:, 0]``, ``x.item(0)``): its other terms are
+    exact zeros, which leave any finite entry but -0.0 unchanged.  No
+    predicted covariance (a sum with Q >= +0.0) holds -0.0, and a heading of
+    -0.0 survives ``np.unwrap`` at sample 0 alone, where it can move only the
+    sign of a zero heading estimate, which no rate reads.
 
     A step so long that a predicted covariance overflows (with the default
     ``jerk_psd``, a step above about 1e61 s, whose fifth power overflows)
@@ -122,13 +119,12 @@ def smooth_angular_rate_from_poses(
     r = heading_sigma ** 2
     z = np.unwrap(z)
     n = t.size
-    hrow = np.array([1.0, 0.0, 0.0])
-    eye = np.eye(3)
+    e0 = np.array([1.0, 0.0, 0.0])  # the measurement row h
+    ikh = np.eye(3)  # I - k h^T: only column 0, e0 - k, depends on the gain k
 
-    # Transition and noise matrices, one per distinct step.  Scalar powers:
-    # numpy's array power rounds differently.  A step so long that a
-    # covariance overflows is refused once the covariance pass has run, so
-    # that pass computes without warnings.
+    # Transition and noise matrices, one per distinct step (scalar powers:
+    # numpy's array power rounds differently).  A covariance that overflows
+    # is refused after the covariance pass, which computes without warnings.
     steps, step_of = np.unique(np.diff(t), return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):
         d2, d3, d4, d5 = np.fromiter(
@@ -144,15 +140,14 @@ def smooth_angular_rate_from_poses(
         ).reshape(-1, 3, 3)
 
         # Covariance pass.  Sample 0 is updated from the prior itself.  Step
-        # i runs from sample i to i + 1 and takes transition trans[i], which
-        # holds the Kalman gain, P_filt F^T and the predicted covariance.  A
-        # step whose length recurs looks up the exact bytes of the filtered
-        # covariance it starts from in its length's cache, and a hit reuses
-        # that transition and the covariance it ended in.  A step whose
-        # length is unique is not cached.
+        # i runs from sample i to i + 1 and takes transition trans[i]: the
+        # Kalman gain, P_filt F^T and the predicted covariance.  A keyed step
+        # that hits reuses a transition and the covariance it ended in.  A
+        # trailing array argument of ``dot`` or of a ufunc is its ``out``.
         P0 = np.diag([r, 1.0, 1.0])
-        k0 = (P0 @ hrow) / (float(hrow @ P0 @ hrow) + r)
-        P = (eye - k0[:, None] * hrow) @ P0
+        k0 = P0[:, 0] / (P0.item(0) + r)
+        np.subtract(e0, k0, ikh[:, 0])
+        P = ikh.dot(P0)
         caches = [{} if c > 1 else None for c in np.bincount(step_of).tolist()]
         step_list = step_of.tolist()
         ks = np.empty((n - 1, 3))
@@ -170,11 +165,13 @@ def smooth_angular_rate_from_poses(
                     trans.append(tr)
                     P = P_next[tr]
                     continue
-            Fj = F[j]
-            Pp = Fj @ P @ Fj.T + Q[j]
-            k = (Pp @ hrow) / (float(hrow @ Pp @ hrow) + r)
-            ks[m], PFt[m], gains[m] = k, P @ Fj.T, Pp
-            P = (eye - k[:, None] * hrow) @ Pp
+            Fj, Pp, k = F[j], gains[m], ks[m]
+            Fj.dot(P).dot(Fj.T, Pp)
+            Pp += Q[j]
+            np.divide(Pp[:, 0], Pp.item(0) + r, k)
+            P.dot(Fj.T, PFt[m])
+            np.subtract(e0, k, ikh[:, 0])
+            P = ikh.dot(Pp)
             if cache is not None:
                 cache[key] = m
                 P_next[m] = P
@@ -183,8 +180,7 @@ def smooth_angular_rate_from_poses(
     del caches, P_next  # before the gains' temporary
 
     def refuse(tr: int, what: str):
-        # Transitions are numbered in time order, so the first one refused
-        # belongs to the first step that fails.
+        # Transitions are numbered in time order: the first refused is the first step's.
         d = steps[step_list[trans.index(tr)]]
         raise InvalidArgumentError(
             f"heading time step of {float(d)!r} s is too long: the smoother's "
@@ -195,10 +191,9 @@ def smooth_angular_rate_from_poses(
     if not finite.all():
         refuse(int(finite.argmin()), "overflows")
 
-    # RTS gains P_filt F^T inv(P_pred) of the distinct transitions in one
-    # stacked call, which makes the same per-matrix BLAS and LAPACK calls as
-    # the 3x3 products.  They overwrite the predicted covariances, so the
-    # stack of inverses is the only temporary.
+    # RTS gains P_filt F^T inv(P_pred) of the distinct transitions: one stacked
+    # call with the 3x3 products' BLAS and LAPACK calls.  They overwrite the
+    # predicted covariances, so the stack of inverses is the only temporary.
     try:
         inverses = np.linalg.inv(gains[:m])
     except np.linalg.LinAlgError:
@@ -206,20 +201,24 @@ def smooth_angular_rate_from_poses(
     np.matmul(PFt[:m], inverses, out=gains[:m])
     del PFt, inverses
 
-    # State passes: the filter, then the backward pass.  Each state is
-    # written in place into its row (``out=``) and the rows are visited by
-    # iterating the arrays, so no array is allocated or kept per sample.  The
-    # backward pass overwrites each filtered state with the smoothed one.
+    # State passes: the filter, then the backward pass, which overwrites each
+    # filtered state with the smoothed one.  Rows go through ``out``, and a
+    # memoryview yields each heading as a float, so no list or array is kept.
     xs_pred = np.empty((n - 1, 3))  # row i: the prediction of sample i + 1
     xs_filt = np.empty((n, 3))
     xp = np.array([z[0], (z[1] - z[0]) / (t[1] - t[0]), 0.0])
-    xs_filt[0] = xp + k0 * (z[0] - hrow @ xp)
-    x = xs_filt[0]
-    for zi, j, tr, xp, x_row in zip(z[1:], step_list, trans, xs_pred, xs_filt[1:]):
-        F[j].dot(x, out=xp)
-        x = np.add(xp, ks[tr] * (zi - hrow.dot(xp)), out=x_row)
-    for xf, xp, tr in zip(xs_filt[-2::-1], xs_pred[::-1], reversed(trans)):
-        x = np.add(xf, gains[tr].dot(x - xp), out=xf)
+    x = np.add(xp, k0 * (z.item(0) - xp.item(0)), xs_filt[0])
+    add, multiply, subtract = np.add, np.multiply, np.subtract  # looked up once, not per sample
+    rows = zip(memoryview(z)[1:], map(F.__getitem__, step_list), map(ks.__getitem__, trans))
+    for (zi, Fj, k), xp, x_row in zip(rows, xs_pred, xs_filt[1:]):
+        Fj.dot(x, xp)
+        multiply(k, zi - xp.item(0), x_row)
+        x = add(xp, x_row, x_row)
+    diff, correction = np.empty(3), np.empty(3)
+    for xf, xp, G in zip(xs_filt[-2::-1], xs_pred[::-1], map(gains.__getitem__, reversed(trans))):
+        subtract(x, xp, diff)
+        G.dot(diff, correction)
+        x = add(xf, correction, xf)
     omega = xs_filt[:, 1].copy()
 
     return AngularRateSeries(timestamps=t.copy(), omega=omega)

@@ -122,6 +122,48 @@ def test_cli_defaults_are_the_library_defaults():
     )
 
 
+COMMANDS = ("simulate", "calibrate", "excitation-check", "evaluate", "recover-scale")
+
+
+def help_texts(parse, capsys) -> list[str]:
+    """The ``--help`` text of the program and of each command, as ``parse`` prints it."""
+    texts = []
+    for argv in ([], *([c] for c in COMMANDS)):
+        with pytest.raises(SystemExit):
+            parse([*argv, "--help"])
+        texts.append(capsys.readouterr().out)
+    return texts
+
+
+def test_the_parser_is_built_once_and_parsing_leaves_it_unchanged(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    fresh = cli.build_parser.__wrapped__()
+    assert fresh is not cli.build_parser()
+    expected = help_texts(fresh.parse_args, capsys)
+    assert help_texts(cli.build_parser().parse_args, capsys) == expected
+
+    # Calls in one process share the parser: an option given to one call
+    # must not reach the next, so the two plain runs write the same bytes.
+    simulate(tmp_path / "sim")
+    pairs = trial_dir(tmp_path / "sim") / "pairs.txt"
+    assert run("calibrate", "--input", pairs, "--out", tmp_path / "a") == cli.EXIT_OK
+    assert run("calibrate", "--input", pairs, "--out", tmp_path / "b", "--seed", 9,
+               "--min-speed", 0.3, "--no-enforce-excitation") == cli.EXIT_OK
+    assert run("calibrate", "--input", pairs, "--out", tmp_path / "c") == cli.EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "c").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes(), name
+    assert (tmp_path / "a" / "resolved_config.txt").read_bytes() != (
+        tmp_path / "b" / "resolved_config.txt").read_bytes()
+    capsys.readouterr()
+
+    def main(argv):
+        raise SystemExit(cli.main(argv))
+
+    assert help_texts(main, capsys) == expected
+
+
 @pytest.fixture(scope="module")
 def constant_turn_pairs(tmp_path_factory):
     """Noise-free constant-turn-rate pairs, which default settings refuse with exit 5."""

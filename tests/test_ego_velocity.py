@@ -586,6 +586,18 @@ def raw_draws(seed, k):
     return np.random.default_rng(seed).integers(0, 2**32, size=3 * k, dtype=np.uint32)
 
 
+@pytest.mark.parametrize("k", [100, 7])
+def test_raw_draws_are_the_generator_s_uint32_stream(k):
+    # The program splits PCG64's raw outputs instead of building a Generator
+    # per scan.  At k = 7 the 21 draws end on the low half of an output.
+    stamps = (0.0, 0.02, -3.25, 123.456, 1e9 + 0.5, 5e-324)
+    seeds = [_scan_seed(54, t) for t in stamps] + [np.random.SeedSequence(s) for s in range(3)]
+    got = ego_velocity._raw_draws(seeds, 3 * k)
+    assert got.dtype == np.uint32 and got.shape == (len(seeds), 3 * k)
+    for row, seed in zip(got, seeds):
+        np.testing.assert_array_equal(row, raw_draws(seed, k))
+
+
 # n or n - 1 a power of two (Lemire threshold 0), and large n.
 EDGE_SIZES = [m for p in (2, 3, 4, 6, 10, 16, 20) for m in (2**p, 2**p + 1)] + [
     10_001, 50_000, 1_000_003, 2**31 - 1, 2**31, 2**32,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -225,7 +226,9 @@ def reference_smoother(timestamps, headings, heading_sigma=0.01, jerk_psd=0.5):
 def assert_smoother_matches_reference(t, headings, **kwargs):
     got = smooth_angular_rate_from_poses(t, headings, **kwargs)
     np.testing.assert_array_equal(got.timestamps, t)
-    assert np.array_equal(got.omega, reference_smoother(t, headings, **kwargs))
+    # Bit for bit: ``np.array_equal`` takes -0.0 for 0.0.
+    expected = reference_smoother(t, headings, **kwargs)
+    assert np.array_equal(got.omega.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("duration, seeds", [(15.0, (0, 1, 2)), (600.0, (0, 1))])
@@ -286,6 +289,42 @@ def test_smoother_matches_reference_on_a_jittered_clock_rounded_to_1ms():
     assert np.unique(np.diff(t)).size < 50
     headings = np.sin(t) + 0.01 * rng.standard_normal(t.size)
     assert_smoother_matches_reference(t, headings)
+
+
+@pytest.mark.parametrize("t, headings", [
+    pytest.param(0.02 * np.arange(750), np.zeros(750), id="all-zero"),
+    pytest.param(0.02 * np.arange(750), np.full(750, -0.0), id="all-negative-zero"),
+    pytest.param(
+        1e9 + 0.02 * np.arange(750),
+        np.sin(0.3 * 0.02 * np.arange(750)) + 0.01 * np.random.default_rng(12).standard_normal(750),
+        id="1e9-s-offset",
+    ),
+])
+def test_smoother_matches_reference_where_the_unit_row_products_meet_zeros(t, headings):
+    # The smoother reads the products with h = e0 as the entries they select,
+    # which holds only while no -0.0 meets them.  These tracks hold zeros of
+    # both signs, or (the 50 Hz clock offset by 1e9 s) steps of two lengths
+    # one ulp of 1e9 s apart.
+    assert_smoother_matches_reference(t, headings)
+
+
+def test_smoother_memory_per_sample_stays_flat_when_every_step_is_distinct():
+    # A jittered clock: every step is computed and every table holds a row
+    # per sample.  The bound is 5% over 528 B per sample, the tracemalloc
+    # peak at 30,000 samples when this guard was set; a Python object kept
+    # per step for a whole pass (a row view costs over 100 B) exceeds it.
+    n = 10_000
+    rng = np.random.default_rng(13)
+    t = 0.02 * np.arange(n) + 2e-4 * rng.standard_normal(n)
+    assert np.unique(np.diff(t)).size == n - 1
+    headings = np.sin(t) + 0.01 * rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        smooth_angular_rate_from_poses(t, headings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 528 * n
 
 
 def test_end_to_end_scale_from_poses():
